@@ -1,15 +1,9 @@
-// Protocol v4: length-prefixed binary framing.
-//
-// Versions 1-3 encode every frame with the legacy self-describing codec
-// (gob), which re-transmits type definitions on every connection and burns
-// the grid's hot path in reflection and per-frame allocations. Version 4
-// replaces the wire *encoding* without touching the wire *semantics*: the
-// same Request/Response envelopes travel as length-prefixed binary frames
-// with a fixed 12-byte header and hand-rolled little-endian payloads for
-// the hot frame kinds (submit, exec, perf, heartbeat, progress, chunk and
-// campaign results). Cold control-plane kinds (cancel, info, stats, ...)
-// ride inside a JSON-envelope frame — self-contained, codec-stateless, and
-// off the hot path by construction.
+// Wire framing: every Request/Response envelope travels as one
+// length-prefixed binary frame with a fixed 12-byte header and hand-rolled
+// little-endian payloads for the hot frame kinds (submit, exec, perf,
+// heartbeat, progress, chunk and campaign results). Cold control-plane kinds
+// (cancel, info, stats, ...) ride inside a JSON-envelope frame —
+// self-contained, codec-stateless, and off the hot path by construction.
 //
 // Frame layout (all integers little-endian):
 //
@@ -20,12 +14,9 @@
 //	offset 8:  length  uint32   payload byte count (<= MaxFramePayload)
 //	offset 12: payload
 //
-// A v4 connection carries the magic in its very first bytes, so a server
-// distinguishes binary peers from legacy gob peers by peeking 4 bytes —
-// no extra negotiation round trip. Whether a client may *open* a binary
-// connection at all is decided by the existing min-version machinery: it
-// speaks binary only to peers it has already seen answer with version >= 4
-// (see PeerVersion in wire.go).
+// The header's version byte is the frame's only version: a header below v4
+// is malformed (ErrBadFrame), and a decoded envelope always carries the
+// header's version, whatever a JSON body claims.
 //
 // Within a payload: strings are u32 length + bytes, []int is u32 count +
 // count x u64 (two's-complement int64), []float64 is u32 count + count x
@@ -56,9 +47,8 @@ const (
 	MaxFramePayload = 16 << 20
 )
 
-// frameMagic opens every v4 frame. The first byte is deliberately outside
-// ASCII so text protocols and legacy gob streams (whose first byte is a
-// small varint message length) cannot collide with it by accident.
+// frameMagic opens every frame. The first byte is deliberately outside
+// ASCII so text protocols cannot collide with it by accident.
 var frameMagic = [4]byte{0xF7, 'O', 'A', '4'}
 
 // Frame kinds. Requests and responses use disjoint ranges so a decoder can
@@ -91,10 +81,10 @@ const (
 // (bad magic, truncated payload, unknown kind, trailing garbage).
 var (
 	ErrFrameTooLarge = errors.New("diet: frame exceeds size bound")
-	ErrBadFrame      = errors.New("diet: malformed v4 frame")
+	ErrBadFrame      = errors.New("diet: malformed frame")
 )
 
-// FrameHeader is one parsed v4 frame header.
+// FrameHeader is one parsed frame header.
 type FrameHeader struct {
 	Version byte
 	Kind    byte
@@ -102,15 +92,8 @@ type FrameHeader struct {
 	Length  uint32
 }
 
-// IsBinaryMagic reports whether b opens with the v4 frame magic.
-//
-//oalint:hotpath
-func IsBinaryMagic(b []byte) bool {
-	return len(b) >= 4 && b[0] == frameMagic[0] && b[1] == frameMagic[1] && b[2] == frameMagic[2] && b[3] == frameMagic[3]
-}
-
-// parseFrameHeader validates the fixed header. It does not look at the
-// payload.
+// parseFrameHeader validates the fixed header: magic, the v4 version floor
+// and the length bound. It does not look at the payload.
 //
 //oalint:hotpath
 func parseFrameHeader(b []byte) (FrameHeader, error) {
@@ -118,7 +101,7 @@ func parseFrameHeader(b []byte) (FrameHeader, error) {
 	if len(b) < frameHeaderSize {
 		return h, fmt.Errorf("%w: short header (%d bytes)", ErrBadFrame, len(b))
 	}
-	if !IsBinaryMagic(b) {
+	if [4]byte(b[:4]) != frameMagic {
 		return h, fmt.Errorf("%w: bad magic % x", ErrBadFrame, b[:4])
 	}
 	h.Version = b[4]
@@ -127,6 +110,9 @@ func parseFrameHeader(b []byte) (FrameHeader, error) {
 	h.Length = binary.LittleEndian.Uint32(b[8:12])
 	if h.Length > MaxFramePayload {
 		return h, fmt.Errorf("%w: length prefix %d (max %d)", ErrFrameTooLarge, h.Length, MaxFramePayload)
+	}
+	if h.Version < ProtocolV4 {
+		return h, fmt.Errorf("%w: version %d below the v%d floor", ErrBadFrame, h.Version, ProtocolV4)
 	}
 	return h, nil
 }
@@ -231,7 +217,7 @@ func appendExecResponse(b []byte, e *ExecResponse) []byte {
 	return b
 }
 
-// AppendRequestFrame appends req encoded as one v4 frame to buf and returns
+// AppendRequestFrame appends req encoded as one frame to buf and returns
 // the extended slice. Hot request kinds get the hand-rolled layout; every
 // other kind travels as a JSON envelope frame. The append never aliases
 // req: buf is the only memory written.
@@ -314,9 +300,9 @@ func AppendRequestFrame(buf []byte, req *Request) ([]byte, error) {
 	}
 }
 
-// AppendResponseFrame appends resp encoded as one v4 frame to buf. An error
-// response becomes an fkErr frame whatever else the envelope carries,
-// mirroring the legacy codec's Err-field-wins contract.
+// AppendResponseFrame appends resp encoded as one frame to buf. An error
+// response becomes an fkErr frame whatever else the envelope carries: the
+// Err field wins.
 //
 //oalint:hotpath
 func AppendResponseFrame(buf []byte, resp *Response) ([]byte, error) {
@@ -521,7 +507,7 @@ func (r *byteReader) done() error {
 // peer cannot grow it without bound; past the cap strings just allocate.
 const maxInternedStrings = 1024
 
-// FrameDecoder decodes v4 frames. It is NOT safe for concurrent use.
+// FrameDecoder decodes frames. It is NOT safe for concurrent use.
 //
 // In scratch mode (Retain == false) decoded envelopes, payload structs and
 // slices live in the decoder and are overwritten by the next Decode/Read
@@ -751,9 +737,7 @@ func (d *FrameDecoder) DecodeRequestFrame(hdr FrameHeader, payload []byte) (*Req
 		if err := json.Unmarshal(payload, fresh); err != nil {
 			return nil, fmt.Errorf("%w: request envelope: %v", ErrBadFrame, err)
 		}
-		if fresh.Version == 0 {
-			fresh.Version = int(hdr.Version)
-		}
+		fresh.Version = int(hdr.Version)
 		return fresh, nil
 	default:
 		return nil, fmt.Errorf("%w: unknown request frame kind 0x%02x", ErrBadFrame, hdr.Kind)
@@ -766,7 +750,7 @@ func (d *FrameDecoder) DecodeRequestFrame(hdr FrameHeader, payload []byte) (*Req
 
 // DecodeResponseFrame decodes one response frame payload. Scratch-mode
 // ownership rules match DecodeRequestFrame. An fkErr frame decodes into a
-// Response with Err set, like the legacy codec's error envelope.
+// Response with Err set.
 //
 //oalint:hotpath
 func (d *FrameDecoder) DecodeResponseFrame(hdr FrameHeader, payload []byte) (*Response, error) {
@@ -916,9 +900,7 @@ func (d *FrameDecoder) DecodeResponseFrame(hdr FrameHeader, payload []byte) (*Re
 		if err := json.Unmarshal(payload, fresh); err != nil {
 			return nil, fmt.Errorf("%w: response envelope: %v", ErrBadFrame, err)
 		}
-		if fresh.Version == 0 {
-			fresh.Version = int(hdr.Version)
-		}
+		fresh.Version = int(hdr.Version)
 		return fresh, nil
 	default:
 		return nil, fmt.Errorf("%w: unknown response frame kind 0x%02x", ErrBadFrame, hdr.Kind)

@@ -396,6 +396,65 @@ func TestTruncatedAndTrailingPayloads(t *testing.T) {
 	}
 }
 
+// TestFrameVersionFloor pins the v4 floor at the frame boundary: a header
+// below v4 is malformed, and a JSON envelope takes the header's version
+// whatever its body claims, so no frame can negotiate pre-v4 semantics.
+func TestFrameVersionFloor(t *testing.T) {
+	rawFrame := func(ver, kind byte, body string) []byte {
+		b, start := beginFrame(nil, ver, kind)
+		b, err := finishFrame(append(b, body...), start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	for _, tc := range []struct {
+		name    string
+		frame   []byte
+		wantErr bool
+		wantVer int
+	}{
+		{"v3 header", rawFrame(3, fkJSONReq, `{"Kind":"stats","Stats":{}}`), true, 0},
+		{"v7 header, JSON body claims v2", rawFrame(ProtocolV7, fkJSONReq, `{"Version":2,"Kind":"stats","Stats":{}}`), false, ProtocolV7},
+		{"0xFF header", rawFrame(0xFF, fkJSONReq, `{"Kind":"stats","Stats":{}}`), false, 0xFF},
+	} {
+		hdr, payload, err := ParseFrame(tc.frame)
+		if tc.wantErr {
+			if !errors.Is(err, ErrBadFrame) {
+				t.Fatalf("%s: ParseFrame got %v, want ErrBadFrame", tc.name, err)
+			}
+			if _, err := (&FrameDecoder{}).ReadRequest(bytes.NewReader(tc.frame)); !errors.Is(err, ErrBadFrame) {
+				t.Fatalf("%s: ReadRequest got %v, want ErrBadFrame", tc.name, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: ParseFrame: %v", tc.name, err)
+		}
+		req, err := (&FrameDecoder{}).DecodeRequestFrame(hdr, payload)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", tc.name, err)
+		}
+		if req.Version != tc.wantVer || req.Kind != KindStats {
+			t.Fatalf("%s: decoded version %d kind %q, want %d %q", tc.name, req.Version, req.Kind, tc.wantVer, KindStats)
+		}
+		// The response envelope follows the same rule.
+		respFrame := tc.frame
+		respFrame[5] = fkJSONResp
+		hdr, payload, err = ParseFrame(respFrame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := (&FrameDecoder{Retain: true}).DecodeResponseFrame(hdr, payload)
+		if err != nil {
+			t.Fatalf("%s: decode response: %v", tc.name, err)
+		}
+		if resp.Version != tc.wantVer {
+			t.Fatalf("%s: decoded response version %d, want %d", tc.name, resp.Version, tc.wantVer)
+		}
+	}
+}
+
 func BenchmarkEncodeFrame(b *testing.B) {
 	resp := hotResponses()[7] // progress frame carrying a chunk report
 	buf := make([]byte, 0, 4096)

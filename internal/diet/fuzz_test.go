@@ -9,9 +9,10 @@ import (
 // FuzzDecodeFrame throws arbitrary bytes at the full binary decode path —
 // header parse, then request AND response payload decode under both
 // ownership modes — and demands it never panics, never accepts an
-// oversized length prefix with anything but ErrFrameTooLarge, and only
-// ever fails with the package's typed errors. Seed corpus: every valid
-// hot-kind and cold-envelope frame, plus classic corruptions.
+// oversized length prefix with anything but ErrFrameTooLarge, only ever
+// fails with the package's typed errors, and that every accepted frame
+// decodes with the header's version, which is at least v4. Seed corpus:
+// every valid hot-kind and cold-envelope frame, plus classic corruptions.
 func FuzzDecodeFrame(f *testing.F) {
 	for _, req := range hotRequests() {
 		if frame, err := AppendRequestFrame(nil, req); err == nil {
@@ -47,6 +48,11 @@ func FuzzDecodeFrame(f *testing.F) {
 		mid[frameHeaderSize+9] ^= 0x80
 		f.Add(mid)
 	}
+	// Version-floor shapes: a v3 header, and a JSON body claiming a
+	// pre-v4 version under a v7 header.
+	f.Add([]byte{0xF7, 'O', 'A', '4', 3, fkHeartbeatResp, 0, 0, 1, 0, 0, 0, 1})
+	body := `{"Version":2,"Kind":"stats","Stats":{}}`
+	f.Add(append([]byte{0xF7, 'O', 'A', '4', ProtocolV7, fkJSONReq, 0, 0, byte(len(body)), 0, 0, 0}, body...))
 
 	typed := func(t *testing.T, err error) {
 		if err == nil || errors.Is(err, ErrBadFrame) || errors.Is(err, ErrFrameTooLarge) {
@@ -65,12 +71,19 @@ func FuzzDecodeFrame(f *testing.F) {
 			}
 			typed(t, err)
 		} else {
+			if hdr.Version < ProtocolV4 {
+				t.Fatalf("accepted a v%d header", hdr.Version)
+			}
 			for _, d := range []*FrameDecoder{scratch, retained} {
-				if _, rerr := d.DecodeRequestFrame(hdr, payload); rerr != nil {
+				if req, rerr := d.DecodeRequestFrame(hdr, payload); rerr != nil {
 					typed(t, rerr)
+				} else if req.Version != int(hdr.Version) {
+					t.Fatalf("request decoded with version %d under a v%d header", req.Version, hdr.Version)
 				}
-				if _, rerr := d.DecodeResponseFrame(hdr, payload); rerr != nil {
+				if resp, rerr := d.DecodeResponseFrame(hdr, payload); rerr != nil {
 					typed(t, rerr)
+				} else if resp.Version != int(hdr.Version) {
+					t.Fatalf("response decoded with version %d under a v%d header", resp.Version, hdr.Version)
 				}
 			}
 		}

@@ -2,7 +2,6 @@ package grid
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"net"
 	"testing"
@@ -28,16 +27,14 @@ func fakeDaemon(t *testing.T, frames []*diet.Response, pause time.Duration) stri
 			return
 		}
 		defer conn.Close()
-		var req diet.Request
-		if err := gob.NewDecoder(conn).Decode(&req); err != nil {
+		if _, err := (&diet.FrameDecoder{}).ReadRequest(conn); err != nil {
 			return
 		}
-		enc := gob.NewEncoder(conn)
 		for i, frame := range frames {
 			if i > 0 {
 				time.Sleep(pause)
 			}
-			if err := enc.Encode(frame); err != nil {
+			if err := diet.WriteResponseFrame(conn, frame); err != nil {
 				return
 			}
 		}
@@ -53,15 +50,15 @@ func fakeDaemon(t *testing.T, frames []*diet.Response, pause time.Duration) stri
 // because every received frame refreshes the deadline.
 func TestClientSurvivesCampaignLongerThanTimeout(t *testing.T) {
 	mkProgress := func(done int) *diet.Response {
-		return &diet.Response{Version: diet.ProtocolV2, Progress: &diet.ProgressUpdate{
+		return &diet.Response{Version: diet.ProtocolVersion, Progress: &diet.ProgressUpdate{
 			ID: 1, Stage: diet.StageChunk, Done: done, Total: 4,
 			Chunk: &diet.ExecResponse{Cluster: "c", Scenarios: 1, Makespan: 1},
 		}}
 	}
 	frames := []*diet.Response{
-		{Version: diet.ProtocolV2, Submit: &diet.SubmitResponse{ID: 1, Accepted: true}},
+		{Version: diet.ProtocolVersion, Submit: &diet.SubmitResponse{ID: 1, Accepted: true}},
 		mkProgress(1), mkProgress(2), mkProgress(3), mkProgress(4),
-		{Version: diet.ProtocolV2, Result: &diet.CampaignResult{ID: 1, Status: diet.CampaignDone, Makespan: 1}},
+		{Version: diet.ProtocolVersion, Result: &diet.CampaignResult{ID: 1, Status: diet.CampaignDone, Makespan: 1}},
 	}
 	// 5 inter-frame pauses of 120ms ≈ 600ms total stream against a 250ms
 	// frame timeout: the old single-deadline client dies mid-stream, the
@@ -86,7 +83,7 @@ func TestClientSurvivesCampaignLongerThanTimeout(t *testing.T) {
 // fails the campaign within roughly one frame timeout, not never.
 func TestClientTimesOutOnSilentDaemon(t *testing.T) {
 	frames := []*diet.Response{
-		{Version: diet.ProtocolV2, Submit: &diet.SubmitResponse{ID: 1, Accepted: true}},
+		{Version: diet.ProtocolVersion, Submit: &diet.SubmitResponse{ID: 1, Accepted: true}},
 		// ... then silence.
 	}
 	addr := fakeDaemon(t, frames, 0)
@@ -105,7 +102,7 @@ func TestClientTimesOutOnSilentDaemon(t *testing.T) {
 // parked on a silent connection immediately and surfaces ctx.Err().
 func TestClientContextCancelMidStream(t *testing.T) {
 	frames := []*diet.Response{
-		{Version: diet.ProtocolV2, Submit: &diet.SubmitResponse{ID: 1, Accepted: true}},
+		{Version: diet.ProtocolVersion, Submit: &diet.SubmitResponse{ID: 1, Accepted: true}},
 	}
 	addr := fakeDaemon(t, frames, 0)
 	c := &Client{Addr: addr, Timeout: time.Minute}
@@ -134,58 +131,44 @@ func submitRaw(t *testing.T, addr string, version int, req *diet.SubmitRequest) 
 	}
 	defer conn.Close()
 	_ = conn.SetDeadline(time.Now().Add(30 * time.Second))
-	if err := gob.NewEncoder(conn).Encode(&diet.Request{Version: version, Kind: diet.KindSubmit, Submit: req}); err != nil {
+	if err := diet.WriteRequestFrame(conn, &diet.Request{Version: version, Kind: diet.KindSubmit, Submit: req}); err != nil {
 		t.Fatal(err)
 	}
-	dec := gob.NewDecoder(conn)
+	dec := &diet.FrameDecoder{Retain: true}
 	var frames []diet.Response
 	for {
-		var resp diet.Response
-		if err := dec.Decode(&resp); err != nil {
+		resp, err := dec.ReadResponse(conn)
+		if err != nil {
 			return frames
 		}
-		frames = append(frames, resp)
+		frames = append(frames, *resp)
 		if resp.Err != "" || resp.Result != nil {
 			return frames
 		}
 	}
 }
 
-// TestProtocolVersionNegotiation: a v1 client gets the PR-2 wire behaviour
-// (verdict + result, no progress frames, even if it asks) while a v2 client
-// gets the streamed campaign; both against the same daemon.
+// TestProtocolVersionNegotiation: a client at the v4 floor streams
+// progress frames between the verdict and the result, a future client
+// negotiates down to the daemon's version, and a wait without progress
+// keeps the two-frame shape.
 func TestProtocolVersionNegotiation(t *testing.T) {
 	f := startFabric(t, testConfig(), 3)
 	req := func() *diet.SubmitRequest {
 		return &diet.SubmitRequest{Scenarios: 6, Months: 12, Heuristic: core.NameKnapsack, Wait: true, Progress: true}
 	}
 
-	// Version 0 (a pre-versioning client) and 1 negotiate down to v1.
-	for _, v := range []int{0, diet.ProtocolV1} {
-		frames := submitRaw(t, f.Sched.Addr(), v, req())
-		if len(frames) != 2 {
-			t.Fatalf("v%d client got %d frames, want verdict + result only", v, len(frames))
-		}
-		if frames[0].Version != diet.ProtocolV1 || frames[1].Version != diet.ProtocolV1 {
-			t.Fatalf("v%d client saw negotiated versions %d, %d, want %d", v, frames[0].Version, frames[1].Version, diet.ProtocolV1)
-		}
-		if frames[1].Result == nil || frames[1].Result.Status != diet.CampaignDone {
-			t.Fatalf("v%d client campaign did not complete: %+v", v, frames[1])
-		}
-	}
-
-	// A v2 client on the same daemon streams progress between the frames.
-	frames := submitRaw(t, f.Sched.Addr(), diet.ProtocolV2, req())
+	frames := submitRaw(t, f.Sched.Addr(), diet.ProtocolV4, req())
 	if len(frames) < 4 { // verdict + planned + ≥1 chunk + result
-		t.Fatalf("v2 client got only %d frames", len(frames))
+		t.Fatalf("v4 client got only %d frames", len(frames))
 	}
 	var planned, chunks int
 	for _, fr := range frames[1 : len(frames)-1] {
-		if fr.Version != diet.ProtocolV2 {
-			t.Fatalf("v2 frame carried version %d", fr.Version)
+		if fr.Version != diet.ProtocolV4 {
+			t.Fatalf("v4 frame carried version %d", fr.Version)
 		}
 		if fr.Progress == nil {
-			t.Fatalf("v2 mid-stream frame without progress: %+v", fr)
+			t.Fatalf("v4 mid-stream frame without progress: %+v", fr)
 		}
 		switch fr.Progress.Stage {
 		case diet.StagePlanned:
@@ -195,11 +178,11 @@ func TestProtocolVersionNegotiation(t *testing.T) {
 		}
 	}
 	if planned == 0 || chunks == 0 {
-		t.Fatalf("v2 stream missed stages: %d planned, %d chunk frames", planned, chunks)
+		t.Fatalf("v4 stream missed stages: %d planned, %d chunk frames", planned, chunks)
 	}
 	final := frames[len(frames)-1]
 	if final.Result == nil || final.Result.Status != diet.CampaignDone {
-		t.Fatalf("v2 campaign did not complete: %+v", final)
+		t.Fatalf("v4 campaign did not complete: %+v", final)
 	}
 	if last := frames[len(frames)-2]; last.Progress != nil && last.Progress.Done != 6 {
 		t.Fatalf("last progress frame reports %d/6 scenarios", last.Progress.Done)
@@ -214,9 +197,9 @@ func TestProtocolVersionNegotiation(t *testing.T) {
 	// A versioned no-progress wait keeps the two-frame shape.
 	noProg := req()
 	noProg.Progress = false
-	frames = submitRaw(t, f.Sched.Addr(), diet.ProtocolV2, noProg)
+	frames = submitRaw(t, f.Sched.Addr(), diet.ProtocolV4, noProg)
 	if len(frames) != 2 {
-		t.Fatalf("v2 no-progress wait got %d frames, want 2", len(frames))
+		t.Fatalf("v4 no-progress wait got %d frames, want 2", len(frames))
 	}
 }
 

@@ -429,6 +429,33 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestMetricsLabelEscaping scrapes a live /metrics endpoint for a tenant
+// whose name needs escaping: the exposition format escapes a label value's
+// quote and backslash exactly once, so the tenant a"b\c renders as
+// a\"b\\c.
+func TestMetricsLabelEscaping(t *testing.T) {
+	s, err := Start(Config{Addr: "127.0.0.1:0", MetricsAddr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	if v := submitTenant(t, s.Addr(), 2, 6, 0, `a"b\c`); !v.Accepted {
+		t.Fatalf("submit rejected: %+v", v)
+	}
+	resp, err := http.Get("http://" + s.MetricsAddr() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `oagrid_tenant_admitted_total{tenant="a\"b\\c"} 1`; !strings.Contains(string(body), want) {
+		t.Fatalf("/metrics output missing %s:\n%s", want, body)
+	}
+}
+
 // TestQueuePositionAndWait: Info on a queued campaign reports its 1-based
 // within-tenant queue position and a growing wait; after dispatch the
 // position clears and the wait freezes at the dispatch latency.

@@ -21,10 +21,10 @@
 // SeD performs goes through internal/engine's batched sweep, which keeps
 // results bit-identical to a serial run.
 //
-// The scheduler speaks the internal/diet gob-over-TCP protocol and is a
-// strict superset of the passive MasterAgent: register/list still work, so
-// the legacy diet.Client can run its one-shot protocol against a live
-// daemon unchanged.
+// The scheduler speaks the internal/diet binary-framed TCP protocol and is
+// a strict superset of the passive MasterAgent: register/list still work,
+// so the one-shot diet.Client can run its protocol against a live daemon
+// unchanged.
 package grid
 
 import (
@@ -84,9 +84,8 @@ type Config struct {
 	// scheduler purely in-memory.
 	StateDir string
 	// TenantKey is the label key that names a campaign's fair-queueing
-	// tenant (default "team"). Campaigns without the label — including
-	// everything submitted by pre-v3 peers, whose labels are stripped —
-	// share the DefaultTenant. The tenant table is bounded: beyond
+	// tenant (default "team"). Campaigns without the label share the
+	// DefaultTenant. The tenant table is bounded: beyond
 	// maxDynamicTenants distinct unconfigured names, new ones fold into
 	// the OverflowTenant (see canonicalTenant).
 	TenantKey string
@@ -116,9 +115,9 @@ type Config struct {
 	// wire-level byte counters.
 	MetricsAddr string
 	// MaxProtocol caps the protocol version this daemon negotiates (0 means
-	// the build's newest). A daemon capped below v4 also refuses binary
-	// connections, exactly like a real pre-v4 build — the staged-rollout
-	// knob, and how tests stand up an old-generation daemon.
+	// the build's newest; v4, the wire floor, is the lowest valid cap). The
+	// staged-rollout knob, and how tests stand up an older-generation
+	// daemon.
 	MaxProtocol int
 }
 
@@ -364,6 +363,9 @@ func (s *Scheduler) quotaFor(name string) int {
 // journal found there is replayed first: terminal campaigns come back
 // pollable, non-terminal campaigns are re-admitted ahead of new traffic.
 func Start(cfg Config) (*Scheduler, error) {
+	if p := cfg.MaxProtocol; p > 0 && p < diet.ProtocolV4 {
+		return nil, fmt.Errorf("grid: MaxProtocol %d is below the v%d wire floor", p, diet.ProtocolV4)
+	}
 	cfg = cfg.withDefaults()
 
 	var st *store.Store

@@ -2,6 +2,7 @@ package grid
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"net"
 	"testing"
@@ -31,59 +32,65 @@ func sameCampaignOutcome(t *testing.T, tag string, got, want *diet.CampaignResul
 	}
 }
 
-// TestCrossVersionMatrix runs the same campaign through every client
-// generation against a v4 daemon — a pre-versioning (v0) client, raw v1,
-// v2 and v3 gob clients, and the real v4 client on the binary codec — and
-// demands every combination negotiates its own version and produces a
-// bit-identical campaign.
+// TestCrossVersionMatrix runs the same campaign through every protocol
+// pairing the wire floor allows — raw v4, v5, v6 and v7 clients against a
+// current daemon, and the current client against daemons capped at v4, v5
+// and v6 — and demands every pairing negotiates min(client, daemon) and
+// produces a bit-identical campaign.
 func TestCrossVersionMatrix(t *testing.T) {
 	f := startFabric(t, testConfig(), 3)
 	addr := f.Sched.Addr()
 	app := core.Application{Scenarios: 6, Months: 12}
+	submit := func() *diet.SubmitRequest {
+		return &diet.SubmitRequest{
+			Scenarios: app.Scenarios, Months: app.Months, Heuristic: core.NameKnapsack,
+			Wait: true, Progress: true,
+		}
+	}
+	// rawOutcome submits at version v and checks the negotiated version and
+	// the stream's shape: verdict, at least one progress frame, result.
+	rawOutcome := func(addr string, v, wantVer int) *diet.CampaignResult {
+		t.Helper()
+		frames := submitRaw(t, addr, v, submit())
+		if len(frames) < 3 {
+			t.Fatalf("v%d client got %d frames, want verdict + progress + result", v, len(frames))
+		}
+		// Progress frames share one cached v4 encoding (progressFrame), so
+		// only the verdict and the result carry the negotiated version.
+		final := frames[len(frames)-1]
+		if frames[0].Version != wantVer || final.Version != wantVer {
+			t.Fatalf("v%d client: verdict v%d, result v%d, want v%d", v, frames[0].Version, final.Version, wantVer)
+		}
+		if final.Result == nil || final.Result.Status != diet.CampaignDone {
+			t.Fatalf("v%d campaign did not complete: %+v", v, final)
+		}
+		return final.Result
+	}
 
-	// Baseline: the v4 client, twice — the first submit-wait exchange runs
-	// over the legacy codec (unknown peer), learns the daemon speaks v4,
-	// and the second runs on binary framing end to end.
 	client := &Client{Addr: addr}
 	want, err := client.RunContext(context.Background(), app, core.NameKnapsack, SubmitMeta{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	verifyReports(t, f, app, core.NameKnapsack, want)
-	if got := diet.PeerVersion(addr); got < diet.ProtocolV4 {
-		t.Fatalf("after a v4 exchange the peer cache holds %d, want >= %d", got, diet.ProtocolV4)
-	}
-	binRes, err := client.RunContext(context.Background(), app, core.NameKnapsack, SubmitMeta{}, nil, nil)
-	if err != nil {
-		t.Fatalf("binary-codec campaign: %v", err)
-	}
-	sameCampaignOutcome(t, "v4-binary vs v4-legacy", binRes, want)
 
-	// Every legacy generation against the same daemon.
-	for _, v := range []int{0, diet.ProtocolV1, diet.ProtocolV2, diet.ProtocolV3} {
-		frames := submitRaw(t, addr, v, &diet.SubmitRequest{
-			Scenarios: app.Scenarios, Months: app.Months, Heuristic: core.NameKnapsack,
-			Wait: true, Progress: true,
-		})
-		if len(frames) < 2 {
-			t.Fatalf("v%d client got %d frames", v, len(frames))
+	for v := diet.ProtocolV4; v <= diet.ProtocolVersion; v++ {
+		got := rawOutcome(addr, v, v)
+		sameCampaignOutcome(t, fmt.Sprintf("raw v%d client vs current daemon", v), got, want)
+	}
+
+	for maxVer := diet.ProtocolV4; maxVer < diet.ProtocolVersion; maxVer++ {
+		cfg := testConfig()
+		cfg.MaxProtocol = maxVer
+		capped := startFabric(t, cfg, 3)
+		c := &Client{Addr: capped.Sched.Addr()}
+		got, err := c.RunContext(context.Background(), app, core.NameKnapsack, SubmitMeta{}, nil, nil)
+		if err != nil {
+			t.Fatalf("current client vs v%d daemon: %v", maxVer, err)
 		}
-		wantVer := v
-		if v == 0 {
-			wantVer = diet.ProtocolV1
-		}
-		if frames[0].Version != wantVer {
-			t.Fatalf("v%d client negotiated %d, want %d", v, frames[0].Version, wantVer)
-		}
-		final := frames[len(frames)-1]
-		if final.Result == nil || final.Result.Status != diet.CampaignDone {
-			t.Fatalf("v%d campaign did not complete: %+v", v, final)
-		}
-		sameCampaignOutcome(t, "v"+string(rune('0'+v))+" vs v4", final.Result, want)
-		// Pre-v2 clients must see no progress frames at all.
-		if wantVer < diet.ProtocolV2 && len(frames) != 2 {
-			t.Fatalf("v%d client got %d frames, want verdict + result", v, len(frames))
-		}
+		sameCampaignOutcome(t, fmt.Sprintf("current client vs v%d daemon", maxVer), got, want)
+		raw := rawOutcome(capped.Sched.Addr(), diet.ProtocolVersion, maxVer)
+		sameCampaignOutcome(t, fmt.Sprintf("raw current client vs v%d daemon", maxVer), raw, want)
 	}
 }
 
@@ -128,23 +135,14 @@ func TestSubmitCompatAcrossV4V5(t *testing.T) {
 	addr := f.Sched.Addr()
 	app := core.Application{Scenarios: 6, Months: 12}
 
-	// Current client, v4-capped daemon. The first campaign runs over legacy
-	// gob (unknown peer) and caches the daemon's v4 answer; the second runs
-	// on binary framing, where the daemon must emit byte-exact v4 submit
-	// verdicts a strict reader accepts.
+	// Current client, v4-capped daemon: the daemon must emit byte-exact v4
+	// submit verdicts a strict reader accepts.
 	client := &Client{Addr: addr, Timeout: 30 * time.Second}
-	want, err := client.RunContext(context.Background(), app, core.NameKnapsack, SubmitMeta{}, nil, nil)
+	res, err := client.RunContext(context.Background(), app, core.NameKnapsack, SubmitMeta{}, nil, nil)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("campaign against a v4-capped daemon: %v", err)
 	}
-	if got := diet.PeerVersion(addr); got != diet.ProtocolV4 {
-		t.Fatalf("peer cache holds %d after talking to a v4-capped daemon, want %d", got, diet.ProtocolV4)
-	}
-	binRes, err := client.RunContext(context.Background(), app, core.NameKnapsack, SubmitMeta{}, nil, nil)
-	if err != nil {
-		t.Fatalf("binary campaign against a v4-capped daemon: %v", err)
-	}
-	sameCampaignOutcome(t, "current client vs v4 daemon", binRes, want)
+	verifyReports(t, f, app, core.NameKnapsack, res)
 
 	// Raw v4 binary client, current daemon: the negotiated version is v4, so
 	// the verdict frame must end at QueueDepth — a smuggled Code field would
@@ -179,59 +177,14 @@ func TestSubmitCompatAcrossV4V5(t *testing.T) {
 	}
 }
 
-// TestV4ClientAgainstV3Daemon covers the downgrade row of the matrix: a
-// daemon capped at protocol v3 (a stand-in for a pre-v4 build — it refuses
-// binary connections outright) serves a current client, which negotiates
-// down, stays on the legacy codec, and gets a bit-identical campaign. Then
-// a poisoned version cache (claiming the daemon speaks v4) self-heals: the
-// dropped binary connection downgrades the cache and the retry succeeds.
-func TestV4ClientAgainstV3Daemon(t *testing.T) {
-	cfg := testConfig()
-	cfg.MaxProtocol = diet.ProtocolV3
-	f := startFabric(t, cfg, 3)
-	addr := f.Sched.Addr()
-	app := core.Application{Scenarios: 6, Months: 12}
-
-	client := &Client{Addr: addr, Timeout: 10 * time.Second}
-	var verdictVer int
-	res, err := client.RunContext(context.Background(), app, core.NameKnapsack, SubmitMeta{}, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	verifyReports(t, f, app, core.NameKnapsack, res)
-	if got := diet.PeerVersion(addr); got != diet.ProtocolV3 {
-		t.Fatalf("peer cache holds %d after talking to a v3 daemon, want %d", got, diet.ProtocolV3)
-	}
-
-	// Reference outcome from a raw v3 client.
-	frames := submitRaw(t, addr, diet.ProtocolV3, &diet.SubmitRequest{
-		Scenarios: app.Scenarios, Months: app.Months, Heuristic: core.NameKnapsack, Wait: true,
-	})
-	final := frames[len(frames)-1]
-	if final.Result == nil {
-		t.Fatalf("raw v3 campaign returned no result: %+v", final)
-	}
-	verdictVer = frames[0].Version
-	if verdictVer != diet.ProtocolV3 {
-		t.Fatalf("v3 daemon answered version %d", verdictVer)
-	}
-	sameCampaignOutcome(t, "v4-client vs v3-client on v3 daemon", res, final.Result)
-
-	// Poison the cache: claim the daemon speaks v4. The next exchange opens
-	// a binary connection, which the capped daemon drops on sniff; the
-	// failure must downgrade the cache so the follow-up heals onto gob.
-	diet.RecordPeerVersion(addr, diet.ProtocolV4)
-	_, err = client.StatsContext(context.Background())
-	if err == nil {
-		t.Fatal("binary exchange against a v3 daemon unexpectedly succeeded")
-	}
-	if got := diet.PeerVersion(addr); got >= diet.ProtocolV4 {
-		t.Fatalf("failed binary exchange left the cache at %d", got)
-	}
-	if _, err := client.StatsContext(context.Background()); err != nil {
-		t.Fatalf("exchange after self-heal: %v", err)
-	}
-	if _, err := client.RunContext(context.Background(), app, core.NameKnapsack, SubmitMeta{}, nil, nil); err != nil {
-		t.Fatalf("campaign after self-heal: %v", err)
+// TestStartRejectsPreV4MaxProtocol: a daemon capped below the v4 wire floor
+// could serve no frame at all, so Start refuses the configuration.
+func TestStartRejectsPreV4MaxProtocol(t *testing.T) {
+	for maxVer := 1; maxVer < diet.ProtocolV4; maxVer++ {
+		s, err := Start(Config{Addr: "127.0.0.1:0", MaxProtocol: maxVer})
+		if err == nil {
+			s.Close()
+			t.Fatalf("Start accepted MaxProtocol %d", maxVer)
+		}
 	}
 }

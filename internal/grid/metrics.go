@@ -68,7 +68,7 @@ func (mw *metricsWriter) sample(name string, value float64, labels ...string) {
 	}
 	pairs := make([]string, 0, len(labels)/2)
 	for i := 0; i+1 < len(labels); i += 2 {
-		pairs = append(pairs, fmt.Sprintf("%s=%q", labels[i], promEscape(labels[i+1])))
+		pairs = append(pairs, labels[i]+`="`+promEscape(labels[i+1])+`"`)
 	}
 	fmt.Fprintf(mw.w, "%s{%s} %v\n", name, strings.Join(pairs, ","), value)
 }

@@ -115,7 +115,7 @@ func ringCampaignID(req *diet.Request) (uint64, bool) {
 // forwarded, or proxied); false means the caller should serve it locally —
 // either this shard owns the campaign, already holds it (adopted from a dead
 // peer), or the kind does not route.
-func (s *Scheduler) routeRing(sm *shardManager, send respSender, ver int, req *diet.Request) bool {
+func (s *Scheduler) routeRing(sm *shardManager, send *binSender, ver int, req *diet.Request) bool {
 	switch req.Kind {
 	case diet.KindStats:
 		_ = send.send(s.fanoutStats(sm))
@@ -141,7 +141,7 @@ func (s *Scheduler) routeRing(sm *shardManager, send respSender, ver int, req *d
 	}
 	if req.Kind == diet.KindAttach {
 		sm.proxied.Add(1)
-		s.proxyAttach(send, ver, owner, req.Attach)
+		s.proxyAttach(send, owner, req.Attach)
 		return true
 	}
 	// Legacy one-shot: forward server-side so pre-v6 clients see a single
@@ -284,7 +284,7 @@ func (s *Scheduler) fanoutList(sm *shardManager, filter *diet.ListCampaignsReque
 // verdict, progress frames, and result onto the client's connection. A v6
 // client would get a one-frame redirect instead; the proxy exists so the
 // ring is invisible to clients that predate it.
-func (s *Scheduler) proxyAttach(send respSender, ver int, owner string, req *diet.AttachRequest) {
+func (s *Scheduler) proxyAttach(send *binSender, owner string, req *diet.AttachRequest) {
 	if req == nil {
 		_ = send.send(&diet.Response{Err: "attach: empty payload"})
 		return
@@ -300,7 +300,7 @@ func (s *Scheduler) proxyAttach(send respSender, ver int, owner string, req *die
 		}
 	}
 	var onProgress func(*diet.ProgressUpdate)
-	if req.Progress && ver >= diet.ProtocolV2 {
+	if req.Progress {
 		onProgress = func(u *diet.ProgressUpdate) {
 			if send.sendProgress(&progressFrame{u: *u}) != nil {
 				cancel()

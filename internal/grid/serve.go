@@ -1,8 +1,6 @@
 package grid
 
 import (
-	"bufio"
-	"encoding/gob"
 	"fmt"
 	"net"
 	"sort"
@@ -28,40 +26,8 @@ func (s *Scheduler) acceptLoop() {
 	}
 }
 
-// respSender writes response frames on one connection, hiding the codec
-// from the streaming logic. sendProgress exists so the binary sender can
-// write a published frame's cached encoding instead of re-encoding it.
-type respSender interface {
-	send(*diet.Response) error
-	sendProgress(*progressFrame) error
-}
-
-// gobSender streams legacy-codec responses. gob streams are stateful (type
-// definitions travel once per connection), so frames cannot be byte-shared
-// across connections — but progress frames still share the one
-// ProgressUpdate struct per published frame instead of a per-subscriber
-// copy.
-type gobSender struct {
-	conn net.Conn
-	enc  *gob.Encoder
-	ver  int
-}
-
-func (g *gobSender) send(resp *diet.Response) error {
-	resp.Version = g.ver
-	_ = g.conn.SetDeadline(time.Now().Add(frameTimeout))
-	err := g.enc.Encode(resp)
-	if err == nil {
-		diet.CountFrames(1, 0)
-	}
-	return err
-}
-
-func (g *gobSender) sendProgress(f *progressFrame) error {
-	return g.send(&diet.Response{Progress: &f.u})
-}
-
-// binSender streams v4 binary frames.
+// binSender writes response frames on one connection. sendProgress writes
+// a published frame's cached encoding instead of re-encoding it.
 type binSender struct {
 	conn net.Conn
 	w    net.Conn // counted writer (CountConn over conn)
@@ -83,42 +49,21 @@ func (b *binSender) sendProgress(f *progressFrame) error {
 	return diet.WriteRawFrame(b.w, enc)
 }
 
-// serveConn sniffs the codec from the connection's first bytes (the v4
-// frame magic selects binary framing, anything else the legacy gob codec)
-// and serves one request. maxVersion caps what the scheduler will
-// negotiate: a daemon capped below v4 refuses binary connections outright —
-// the client's version cache then self-heals onto the legacy codec.
+// serveConn reads one request frame and serves it; a connection that does
+// not open with a well-formed frame is dropped. MaxProtocol caps what the
+// scheduler negotiates.
 func (s *Scheduler) serveConn(conn net.Conn) {
 	defer conn.Close()
 	_ = conn.SetDeadline(time.Now().Add(frameTimeout))
 	cc := diet.CountConn(conn)
-	br := bufio.NewReader(cc)
-	peek, err := br.Peek(4)
+	dec := diet.GetFrameDecoder(false)
+	defer diet.PutFrameDecoder(dec)
+	req, err := dec.ReadRequest(cc)
 	if err != nil {
 		return
 	}
-	if diet.IsBinaryMagic(peek) {
-		if diet.LegacyCodecForced() || s.maxVersion() < diet.ProtocolV4 {
-			return // binary refused: drop, peer re-probes over gob
-		}
-		dec := diet.GetFrameDecoder(false)
-		defer diet.PutFrameDecoder(dec)
-		req, err := dec.ReadRequest(br)
-		if err != nil {
-			return
-		}
-		ver := s.negotiate(req.Version)
-		s.dispatch(&binSender{conn: conn, w: cc, ver: ver}, ver, req)
-		return
-	}
-	dec := gob.NewDecoder(br)
-	var req diet.Request
-	if err := dec.Decode(&req); err != nil {
-		return
-	}
-	diet.CountFrames(0, 1)
 	ver := s.negotiate(req.Version)
-	s.dispatch(&gobSender{conn: conn, enc: gob.NewEncoder(cc), ver: ver}, ver, &req)
+	s.dispatch(&binSender{conn: conn, w: cc, ver: ver}, ver, req)
 }
 
 // negotiate resolves a connection's effective version under the daemon's
@@ -144,7 +89,7 @@ func (s *Scheduler) maxVersion() int {
 // The ring kinds come first — they are daemon-to-daemon and never route —
 // then ring ownership gets a chance to redirect, forward, or fan the request
 // out before the local paths serve it.
-func (s *Scheduler) dispatch(send respSender, ver int, req *diet.Request) {
+func (s *Scheduler) dispatch(send *binSender, ver int, req *diet.Request) {
 	switch req.Kind {
 	case diet.KindRingPing:
 		_ = send.send(s.serveRingPing(ver))
@@ -161,9 +106,9 @@ func (s *Scheduler) dispatch(send respSender, ver int, req *diet.Request) {
 	}
 	switch req.Kind {
 	case diet.KindSubmit:
-		s.serveSubmit(send, ver, req.Submit)
+		s.serveSubmit(send, req.Submit)
 	case diet.KindAttach:
-		s.serveAttach(send, ver, req.Attach)
+		s.serveAttach(send, req.Attach)
 	default:
 		resp := s.handle(req)
 		_ = send.send(resp)
@@ -171,23 +116,17 @@ func (s *Scheduler) dispatch(send respSender, ver int, req *diet.Request) {
 }
 
 // serveSubmit answers a campaign submission. With Wait set the connection
-// streams: the admission verdict goes out immediately; at protocol v2 with
-// Progress set, per-campaign progress frames follow; the campaign result
+// streams: the admission verdict goes out immediately; with Progress set,
+// per-campaign progress frames follow; the campaign result
 // closes the stream when the run completes. Every frame write refreshes the
 // connection deadline, so a stream stays alive exactly as long as its
 // campaign — and a client gone mid-stream fails a frame write, which
 // releases this goroutine without touching the dispatcher that runs the
 // campaign.
-func (s *Scheduler) serveSubmit(send respSender, ver int, req *diet.SubmitRequest) {
+func (s *Scheduler) serveSubmit(send *binSender, req *diet.SubmitRequest) {
 	if req == nil {
 		_ = send.send(&diet.Response{Err: "submit: empty payload"})
 		return
-	}
-	// Features above the negotiated version stay off the wire in both
-	// directions: a peer announcing v2 gets v2 semantics even if it smuggled
-	// v3 submit fields into the envelope.
-	if ver < diet.ProtocolV3 {
-		req.Priority, req.Labels, req.Deadline = 0, nil, 0
 	}
 	c, verdict, err := s.admit(req)
 	if err != nil {
@@ -201,7 +140,7 @@ func (s *Scheduler) serveSubmit(send respSender, ver int, req *diet.SubmitReques
 	// first planned frame (the history replay makes even that race benign,
 	// but late frames would reorder around the verdict).
 	var sub chan *progressFrame
-	if c != nil && req.Wait && req.Progress && ver >= diet.ProtocolV2 {
+	if c != nil && req.Wait && req.Progress {
 		sub = c.subscribe()
 		defer c.unsubscribe(sub)
 	}
@@ -215,11 +154,11 @@ func (s *Scheduler) serveSubmit(send respSender, ver int, req *diet.SubmitReques
 }
 
 // serveAttach reconnects a client to a campaign by ID: the attach verdict
-// goes out first, then — at protocol v2 with Progress set — the campaign's
+// goes out first, then — with Progress set — the campaign's
 // full replayed history followed by live frames, and finally the result.
 // Attaching to a finished campaign replays its history and closes with the
 // stored result immediately.
-func (s *Scheduler) serveAttach(send respSender, ver int, req *diet.AttachRequest) {
+func (s *Scheduler) serveAttach(send *binSender, req *diet.AttachRequest) {
 	if req == nil {
 		_ = send.send(&diet.Response{Err: "attach: empty payload"})
 		return
@@ -233,7 +172,7 @@ func (s *Scheduler) serveAttach(send respSender, ver int, req *diet.AttachReques
 	// the replay inside subscribe() pins the history point the live stream
 	// continues from.
 	var sub chan *progressFrame
-	if req.Progress && ver >= diet.ProtocolV2 {
+	if req.Progress {
 		sub = c.subscribe()
 		defer c.unsubscribe(sub)
 	}
@@ -252,11 +191,11 @@ func (s *Scheduler) serveAttach(send respSender, ver int, req *diet.AttachReques
 
 // streamCampaign pumps a campaign's progress frames into send until the
 // campaign ends, then closes the stream with the result. sub may be nil
-// (a plain v1 wait): the loop then only waits for completion.
-func (s *Scheduler) streamCampaign(send respSender, c *campaign, sub chan *progressFrame) {
+// (a wait without progress): the loop then only waits for completion.
+func (s *Scheduler) streamCampaign(send *binSender, c *campaign, sub chan *progressFrame) {
 	for {
 		select {
-		case f := <-sub: // nil sub: never ready, plain v1 wait
+		case f := <-sub: // nil sub: never ready, plain wait
 			if err := send.sendProgress(f); err != nil {
 				return
 			}
