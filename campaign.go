@@ -26,23 +26,24 @@ func NewCampaign(scenarios, months int) Campaign {
 	return Campaign{Experiment: NewExperiment(scenarios, months)}
 }
 
-// Runner executes campaigns — the campaign control plane. Run returns
-// immediately with a handle that streams typed Events and resolves to the
-// final CampaignResult; the error covers only immediately-detectable
-// problems (malformed campaign, unknown heuristic) — admission rejections
-// and execution failures surface through the handle with the package's
-// typed errors (ErrRejected, ErrCampaignFailed, ErrCampaignCancelled,
-// ErrProtocol).
+// Runner executes campaigns — the campaign control plane. Run returns as
+// soon as the scheduler's admission verdict is in, with a handle that
+// streams typed Events and resolves to the final CampaignResult; the error
+// covers only immediately-detectable problems (malformed campaign, unknown
+// heuristic) — admission rejections and execution failures surface through
+// the handle with the package's typed errors (ErrRejected,
+// ErrCampaignFailed, ErrCampaignCancelled, ErrProtocol).
 //
-// Cancelling ctx stops only this client's involvement: a local run stops
-// its worker pool between evaluations, a remote run releases its connection
-// while the daemon-side campaign keeps running to its own deadline. Either
-// way the handle resolves with ctx's error. Cancel, by contrast, stops the
-// campaign itself, wherever it runs.
+// Cancelling ctx resolves the handle with ctx's error. On a Local runner it
+// pauses the campaign: the in-flight evaluation aborts, Info reports it
+// failed, and a durable runner resumes it on its next open. On a Dial
+// runner it releases the connection while the daemon-side campaign keeps
+// running to its own deadline. Cancel, by contrast, stops the campaign
+// itself, wherever it runs.
 //
-// Local and Dial implement every method with identical semantics, so a
-// program written against Runner moves between in-process and grid
-// execution unchanged.
+// Local and Dial are one runner over one scheduler state machine — Local's
+// scheduler runs in process, Dial's behind the wire — so a program written
+// against Runner moves between in-process and grid execution unchanged.
 type Runner interface {
 	// Run starts one campaign. Submit options shape this campaign alone:
 	// WithPriority orders it in the admission queue, WithLabels tags it for
@@ -120,13 +121,11 @@ type CampaignInfo struct {
 	// Err carries the failure reason of a failed campaign.
 	Err string
 	// Tenant is the fair-queueing tenant the campaign runs under — the
-	// value of the daemon's tenant label key (default "team"), "default"
-	// when the campaign carries none. Local runners derive it the same way
-	// so Info stays runner-agnostic.
+	// value of the scheduler's tenant label key (default "team"), "default"
+	// when the campaign carries none.
 	Tenant string
 	// QueuePos is the campaign's 1-based dispatch position within its
-	// tenant's queue while queued, 0 after dispatch (and always 0 on local
-	// runners, which have no admission queue).
+	// tenant's queue while queued, 0 after dispatch.
 	QueuePos int
 	// WaitMs is the campaign's admission-to-dispatch wait in milliseconds:
 	// ticking while queued, frozen once a dispatcher takes it.
@@ -306,13 +305,6 @@ func (h *Handle) setScenarios(n int) {
 		h.scenarios = n
 	}
 	h.mu.Unlock()
-}
-
-// finished reports whether the campaign reached its terminal event.
-func (h *Handle) finished() bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.ended
 }
 
 // publish appends one event to the stream and wakes all subscribers; it

@@ -291,6 +291,9 @@ type daemonConfig struct {
 // runDaemon serves the online scheduler until SIGINT/SIGTERM, printing a
 // stats line every few seconds.
 func runDaemon(dc daemonConfig) {
+	if dc.addr == "" {
+		fail(fmt.Errorf("-daemon needs a listen address (-addr): an empty one starts no listener"))
+	}
 	if dc.asMax > 0 && dc.seds < 1 {
 		fail(fmt.Errorf("-autoscale needs at least one in-process SeD (-seds 1) to clone profiles from"))
 	}

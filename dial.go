@@ -9,11 +9,26 @@ import (
 	"oagrid/internal/grid"
 )
 
-// remoteRunner drives campaigns against a grid scheduler daemon over the
-// versioned diet wire protocol.
-type remoteRunner struct {
-	client grid.Client
+// campaignClient is what a runner drives campaigns through: a grid
+// scheduler's client surface. *grid.Client serves it over the wire (Dial),
+// *grid.Scheduler in process (Local), with the same typed errors.
+type campaignClient interface {
+	RunContext(ctx context.Context, app core.Application, heuristic string, meta grid.SubmitMeta, onAdmit func(uint64), onProgress func(*diet.ProgressUpdate)) (*diet.CampaignResult, error)
+	AttachContext(ctx context.Context, id uint64, onAttach func(*diet.AttachResponse), onProgress func(*diet.ProgressUpdate)) (*diet.CampaignResult, error)
+	CancelContext(ctx context.Context, id uint64) (string, error)
+	ListCampaignsContext(ctx context.Context, filter *diet.ListCampaignsRequest) ([]diet.CampaignInfo, error)
+	InfoContext(ctx context.Context, id uint64) (*diet.CampaignInfo, error)
+}
+
+// campaignRunner is the one Runner: it maps a grid scheduler's client
+// surface onto handles and typed events, whichever side of a wire the
+// scheduler is on.
+type campaignRunner struct {
+	client campaignClient
 	cfg    runnerConfig
+	// close releases what the runner owns: a Local runner's in-process
+	// scheduler; nil for Dial.
+	close func() error
 }
 
 // Dial builds a Runner over a live grid scheduler daemon (cmd/oarun
@@ -36,14 +51,11 @@ func Dial(ctx context.Context, addr string, opts ...RunnerOption) (Runner, error
 		return nil, err
 	}
 	primary, fallbacks := splitAddrs(addr)
-	r := &remoteRunner{
-		client: grid.Client{Addr: primary, Addrs: fallbacks, Timeout: cfg.timeout},
-		cfg:    cfg,
-	}
-	if _, err := r.client.StatsContext(ctx); err != nil {
+	client := &grid.Client{Addr: primary, Addrs: fallbacks, Timeout: cfg.timeout}
+	if _, err := client.StatsContext(ctx); err != nil {
 		return nil, err
 	}
-	return r, nil
+	return &campaignRunner{client: client, cfg: cfg}, nil
 }
 
 // splitAddrs parses Dial's address argument: a comma-separated member list
@@ -63,10 +75,12 @@ func splitAddrs(addr string) (string, []string) {
 	return all[0], all[1:]
 }
 
-// Run implements Runner. Submit options travel to the daemon on the wire:
-// priority orders its admission queue, labels tag the campaign for List, a
-// deadline overrides its campaign timeout.
-func (r *remoteRunner) Run(ctx context.Context, c Campaign, opts ...SubmitOption) (*Handle, error) {
+// Run implements Runner. Submit options travel with the campaign to the
+// scheduler (on the wire for Dial): priority orders its admission queue,
+// labels tag the campaign for List, a deadline overrides its campaign
+// timeout. Run returns once the scheduler's admission verdict is in, so an
+// admitted campaign's handle already carries its ID.
+func (r *campaignRunner) Run(ctx context.Context, c Campaign, opts ...SubmitOption) (*Handle, error) {
 	app := core.Application(c.Experiment)
 	if err := app.Validate(); err != nil {
 		return nil, err
@@ -84,20 +98,25 @@ func (r *remoteRunner) Run(ctx context.Context, c Campaign, opts ...SubmitOption
 	}
 	handle := newHandle(app.Scenarios)
 	meta := grid.SubmitMeta{Priority: sub.priority, Labels: sub.labels, Deadline: sub.deadline}
-	go r.run(ctx, handle, app, name, meta)
+	admitted := make(chan struct{})
+	go r.run(ctx, handle, app, name, meta, admitted)
+	select {
+	case <-admitted:
+	case <-handle.done: // rejected, or failed before the verdict
+	}
 	return handle, nil
 }
 
-// Cancel implements Runner: the daemon journals the cancellation before the
-// verdict returns, so it survives any restart. An unknown ID is
+// Cancel implements Runner: the scheduler journals the cancellation before
+// the verdict returns, so it survives any restart. An unknown ID is
 // ErrUnknownCampaign; a campaign that finished first is a no-op.
-func (r *remoteRunner) Cancel(ctx context.Context, id uint64) error {
+func (r *campaignRunner) Cancel(ctx context.Context, id uint64) error {
 	_, err := r.client.CancelContext(ctx, id)
 	return err
 }
 
-// List implements Runner: the daemon's campaign table in admission order.
-func (r *remoteRunner) List(ctx context.Context, filter ListFilter) ([]CampaignInfo, error) {
+// List implements Runner: the scheduler's campaign table in admission order.
+func (r *campaignRunner) List(ctx context.Context, filter ListFilter) ([]CampaignInfo, error) {
 	infos, err := r.client.ListCampaignsContext(ctx, &diet.ListCampaignsRequest{
 		Status: filter.Status,
 		Labels: filter.Labels,
@@ -113,7 +132,7 @@ func (r *remoteRunner) List(ctx context.Context, filter ListFilter) ([]CampaignI
 }
 
 // Info implements Runner.
-func (r *remoteRunner) Info(ctx context.Context, id uint64) (*CampaignInfo, error) {
+func (r *campaignRunner) Info(ctx context.Context, id uint64) (*CampaignInfo, error) {
 	wi, err := r.client.InfoContext(ctx, id)
 	if err != nil {
 		return nil, err
@@ -144,16 +163,16 @@ func infoFromWire(wi *diet.CampaignInfo) CampaignInfo {
 	}
 }
 
-// Attach implements Runner: it reconnects to a daemon-side campaign by ID
-// over a KindAttach stream. The handle replays the campaign's full progress
-// history — including everything published before a network cut or a
-// daemon restart on a state dir — then follows it live to the result.
-// Attach blocks until the attach verdict (one dial plus one frame, bounded
-// by WithTimeout) or the failure that precedes it: the verdict carries the
-// campaign shape that sizes event-subscription buffers, so a handle
-// returned earlier could hand Events() an undersized channel and strand an
-// abandoning consumer's delivery goroutine.
-func (r *remoteRunner) Attach(ctx context.Context, id uint64) (*Handle, error) {
+// Attach implements Runner: it reconnects to a scheduler-side campaign by
+// ID (over a KindAttach stream for Dial). The handle replays the
+// campaign's full progress history — including everything published
+// before a network cut or a restart on a state dir — then follows it live
+// to the result. Attach blocks until the attach verdict (for Dial one dial
+// plus one frame, bounded by WithTimeout) or the failure that precedes it:
+// the verdict carries the campaign shape that sizes event-subscription
+// buffers, so a handle returned earlier could hand Events() an undersized
+// channel and strand an abandoning consumer's delivery goroutine.
+func (r *campaignRunner) Attach(ctx context.Context, id uint64) (*Handle, error) {
 	handle := newHandle(0) // shape arrives with the attach verdict
 	ready := make(chan struct{})
 	go r.attach(ctx, handle, id, ready)
@@ -164,15 +183,23 @@ func (r *remoteRunner) Attach(ctx context.Context, id uint64) (*Handle, error) {
 	return handle, nil
 }
 
-// Close implements Runner. Campaigns dial their own connections, so there
-// is nothing to release.
-func (r *remoteRunner) Close() error { return nil }
+// Close implements Runner. A Dial runner's campaigns dial their own
+// connections, so it has nothing to release; a Local runner shuts its
+// scheduler down, which pauses every campaign still queued or running (a
+// running one after its current round) — exactly a daemon shutdown.
+func (r *campaignRunner) Close() error {
+	if r.close == nil {
+		return nil
+	}
+	return r.close()
+}
 
-func (r *remoteRunner) run(ctx context.Context, handle *Handle, app core.Application, heuristic string, meta grid.SubmitMeta) {
+func (r *campaignRunner) run(ctx context.Context, handle *Handle, app core.Application, heuristic string, meta grid.SubmitMeta, admitted chan<- struct{}) {
 	res, err := r.client.RunContext(ctx, app, heuristic, meta,
 		func(id uint64) {
 			handle.setID(id)
 			handle.publish(EventAdmitted{ID: id})
+			close(admitted)
 		},
 		func(u *diet.ProgressUpdate) {
 			for _, ev := range progressEvents(u) {
@@ -189,7 +216,7 @@ func (r *remoteRunner) run(ctx context.Context, handle *Handle, app core.Applica
 	handle.finish(fromWire(res), nil)
 }
 
-func (r *remoteRunner) attach(ctx context.Context, handle *Handle, id uint64, ready chan<- struct{}) {
+func (r *campaignRunner) attach(ctx context.Context, handle *Handle, id uint64, ready chan<- struct{}) {
 	res, err := r.client.AttachContext(ctx, id,
 		func(v *diet.AttachResponse) {
 			handle.setID(v.ID)
@@ -239,8 +266,9 @@ func progressEvents(u *diet.ProgressUpdate) []Event {
 	}
 }
 
-// reportFromWire maps one wire chunk report onto the public shape. The full
-// backend Result does not travel the wire (or the journal), so it stays nil.
+// reportFromWire maps one chunk report onto the public shape. The full
+// backend Result reaches only an in-process caller — it travels neither the
+// wire nor the journal — so it is nil everywhere else.
 func reportFromWire(rep diet.ExecResponse) ClusterReport {
 	return ClusterReport{
 		Cluster:    rep.Cluster,
@@ -248,10 +276,11 @@ func reportFromWire(rep diet.ExecResponse) ClusterReport {
 		Makespan:   rep.Makespan,
 		Allocation: rep.Allocation,
 		Round:      rep.Round,
+		Result:     rep.Result,
 	}
 }
 
-// fromWire maps the daemon's campaign result onto the public shape.
+// fromWire maps the scheduler's campaign result onto the public shape.
 func fromWire(res *diet.CampaignResult) *CampaignResult {
 	out := &CampaignResult{Makespan: res.Makespan, Requeues: res.Requeues}
 	for _, rep := range res.Reports {

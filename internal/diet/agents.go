@@ -1,6 +1,8 @@
 package diet
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -75,22 +77,148 @@ func (ma *MasterAgent) handle(req *Request) *Response {
 	}
 }
 
-// SeD is the per-cluster server daemon: it computes performance vectors
-// (protocol step 2) and executes assigned scenario sets (step 6) on its
-// cluster, using the event-driven executor as the cluster's compute fabric.
-type SeD struct {
+// Handler is the compute half of a SeD, without a listener: it answers one
+// cluster's performance-vector requests (protocol step 2) and execution
+// requests (step 6) through an engine backend. A TCP SeD serves one behind
+// its listener; the grid scheduler calls an in-process one directly.
+type Handler struct {
 	cluster *platform.Cluster
-	opts    exec.Options
-	ln      net.Listener
+	ev      engine.Evaluator
+	opts    engine.Options
+	workers int
 	// speed is the daemon's relative speed factor: 1.0 is the reference,
 	// 0.5 advertises every performance-vector entry doubled so the
 	// repartition hands this daemon proportionally smaller chunks.
-	// Immutable after start. Execution itself stays on the cluster's base
-	// timing — the factor shifts placement, never a chunk's reported
-	// makespan, which keeps results bit-identical to serial replay.
+	// Immutable after construction. Execution itself stays on the
+	// cluster's base timing — the factor shifts placement, never a chunk's
+	// reported makespan, which keeps results bit-identical to serial replay.
 	speed float64
 
-	inFlight int64 // gauge of requests currently being served
+	inFlight atomic.Int64 // gauge of requests currently being served
+}
+
+// NewHandler builds the request handler of one cluster at the reference
+// speed: ev evaluates every plan (nil is the event-driven executor), opts
+// configure every evaluation, and workers bounds the performance-vector
+// sweep pool (0 or less uses GOMAXPROCS; vectors are bit-identical
+// whatever the count).
+func NewHandler(cluster *platform.Cluster, ev engine.Evaluator, opts engine.Options, workers int) (*Handler, error) {
+	if err := cluster.Validate(); err != nil {
+		return nil, err
+	}
+	if ev == nil {
+		ev = engine.Default()
+	}
+	return &Handler{cluster: cluster, ev: ev, opts: opts, workers: workers, speed: 1.0}, nil
+}
+
+// Cluster returns the served cluster.
+func (h *Handler) Cluster() *platform.Cluster { return h.cluster }
+
+// InFlight reports how many requests the handler is serving right now.
+func (h *Handler) InFlight() int { return int(h.inFlight.Load()) }
+
+// Speed reports the handler's relative speed factor.
+func (h *Handler) Speed() float64 { return h.speed }
+
+// Call answers one perf or exec request by direct call. ctx aborts the
+// evaluation cooperatively: a performance-vector sweep stops between its
+// jobs, an execution is not started once ctx is done. A failed request
+// returns the error a wire peer receives as the response's Err.
+func (h *Handler) Call(ctx context.Context, req *Request) (*Response, error) {
+	h.inFlight.Add(1)
+	defer h.inFlight.Add(-1)
+	switch req.Kind {
+	case KindPerf:
+		return h.perf(ctx, req.Perf)
+	case KindExec:
+		return h.execute(ctx, req.Exec)
+	default:
+		return nil, fmt.Errorf("SeD %s: unsupported request %q", h.cluster.Name, req.Kind)
+	}
+}
+
+// serve is Call as a wire agent's handler: a failure travels as the
+// response's Err.
+func (h *Handler) serve(req *Request) *Response {
+	resp, err := h.Call(context.Background(), req)
+	if err != nil {
+		return &Response{Err: err.Error()}
+	}
+	return resp
+}
+
+func (h *Handler) perf(ctx context.Context, req *PerfRequest) (*Response, error) {
+	if req == nil {
+		return nil, errors.New("perf: empty payload")
+	}
+	heur, err := core.ByName(req.Heuristic)
+	if err != nil {
+		return nil, err
+	}
+	// One perf request is NS plan+evaluate jobs (k = 1..NS); answer it as a
+	// single batched engine sweep so the plan cache and memoized timing are
+	// shared across the k values. The sweep is bit-identical to the serial
+	// loop it replaced, whatever the worker count.
+	app := core.Application{Scenarios: req.Scenarios, Months: req.Months}
+	vecs, err := engine.PerformanceVectorsContext(ctx, h.ev, app, []*platform.Cluster{h.cluster}, heur, h.opts, h.workers)
+	if err != nil {
+		return nil, err
+	}
+	vec := vecs[0]
+	// A non-reference speed factor scales the advertised makespans (half
+	// speed doubles them) so the repartition hands this daemon a
+	// proportionally smaller share. Only the advertisement is scaled:
+	// execution runs on the base timing, so chunk reports stay bit-identical
+	// to their serial replay whatever the fleet's speed mix.
+	if h.speed != 1.0 {
+		for i, v := range vec {
+			vec[i] = v / h.speed
+		}
+	}
+	return &Response{Perf: &PerfResponse{
+		Cluster: h.cluster.Name,
+		Procs:   h.cluster.Procs,
+		Vector:  vec,
+	}}, nil
+}
+
+func (h *Handler) execute(ctx context.Context, req *ExecRequest) (*Response, error) {
+	if req == nil {
+		return nil, errors.New("exec: empty payload")
+	}
+	if len(req.ScenarioIDs) == 0 {
+		return &Response{Exec: &ExecResponse{Cluster: h.cluster.Name}}, nil
+	}
+	heur, err := core.ByName(req.Heuristic)
+	if err != nil {
+		return nil, err
+	}
+	app := core.Application{Scenarios: len(req.ScenarioIDs), Months: req.Months}
+	alloc, err := heur.Plan(app, h.cluster.Timing, h.cluster.Procs)
+	if err != nil {
+		return nil, err
+	}
+	res, err := engine.EvaluateContext(ctx, h.ev, app, h.cluster, alloc, h.opts)
+	if err != nil {
+		return nil, err
+	}
+	return &Response{Exec: &ExecResponse{
+		Cluster:    h.cluster.Name,
+		Makespan:   res.Makespan,
+		Allocation: alloc,
+		Scenarios:  len(req.ScenarioIDs),
+		Result:     &res,
+	}}, nil
+}
+
+// SeD is the per-cluster server daemon: a Handler on the event-driven
+// executor behind a TCP listener, plus the heartbeat loop that keeps it in
+// a scheduler's pool.
+type SeD struct {
+	*Handler
+	ln net.Listener
+
 	// draining is nonzero once Drain() ran: the daemon advertises the flag
 	// on every beat so the scheduler stops placing new chunks on it.
 	draining int32
@@ -111,18 +239,19 @@ func StartSeD(addr string, cluster *platform.Cluster, opts exec.Options) (*SeD, 
 // StartSeDSpeed is StartSeD with an explicit relative speed factor; values
 // <= 0 read as 1.0 (the reference speed).
 func StartSeDSpeed(addr string, cluster *platform.Cluster, opts exec.Options, speed float64) (*SeD, error) {
-	if err := cluster.Validate(); err != nil {
+	h, err := NewHandler(cluster, engine.DES{}, engine.Options{Exec: opts}, 0)
+	if err != nil {
 		return nil, err
 	}
-	if speed <= 0 {
-		speed = 1.0
+	if speed > 0 {
+		h.speed = speed
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("diet: SeD %s listen: %w", cluster.Name, err)
 	}
-	s := &SeD{cluster: cluster, opts: opts, ln: ln, speed: speed}
-	go acceptLoop(ln, s.handle)
+	s := &SeD{Handler: h, ln: ln}
+	go acceptLoop(ln, h.serve)
 	return s, nil
 }
 
@@ -134,15 +263,6 @@ func (s *SeD) Close() error {
 	s.StopHeartbeats()
 	return s.ln.Close()
 }
-
-// Cluster returns the served cluster.
-func (s *SeD) Cluster() *platform.Cluster { return s.cluster }
-
-// InFlight reports how many requests the daemon is serving right now.
-func (s *SeD) InFlight() int { return int(atomic.LoadInt64(&s.inFlight)) }
-
-// Speed reports the daemon's relative speed factor.
-func (s *SeD) Speed() float64 { return s.speed }
 
 // Draining reports whether Drain() has run.
 func (s *SeD) Draining() bool { return atomic.LoadInt32(&s.draining) != 0 }
@@ -227,83 +347,6 @@ func (s *SeD) RegisterWith(maAddr string) error {
 		return fmt.Errorf("diet: master agent rejected registration of %s", s.cluster.Name)
 	}
 	return nil
-}
-
-func (s *SeD) handle(req *Request) *Response {
-	atomic.AddInt64(&s.inFlight, 1)
-	defer atomic.AddInt64(&s.inFlight, -1)
-	switch req.Kind {
-	case KindPerf:
-		return s.handlePerf(req.Perf)
-	case KindExec:
-		return s.handleExec(req.Exec)
-	default:
-		return &Response{Err: fmt.Sprintf("SeD %s: unsupported request %q", s.cluster.Name, req.Kind)}
-	}
-}
-
-func (s *SeD) handlePerf(req *PerfRequest) *Response {
-	if req == nil {
-		return &Response{Err: "perf: empty payload"}
-	}
-	h, err := core.ByName(req.Heuristic)
-	if err != nil {
-		return &Response{Err: err.Error()}
-	}
-	// One perf request is NS plan+evaluate jobs (k = 1..NS); answer it as a
-	// single batched engine.Sweep so the plan cache and memoized timing are
-	// shared across the k values. The sweep is bit-identical to the serial
-	// loop it replaced, whatever the worker count.
-	app := core.Application{Scenarios: req.Scenarios, Months: req.Months}
-	vec, err := engine.PerformanceVector(engine.DES{}, app, s.cluster, h, engine.Options{Exec: s.opts}, 0)
-	if err != nil {
-		return &Response{Err: err.Error()}
-	}
-	// A non-reference speed factor scales the advertised makespans (half
-	// speed doubles them) so the repartition hands this daemon a
-	// proportionally smaller share. Only the advertisement is scaled:
-	// execution runs on the base timing, so chunk reports stay bit-identical
-	// to their serial replay whatever the fleet's speed mix.
-	if s.speed != 1.0 {
-		scaled := make([]float64, len(vec))
-		for i, v := range vec {
-			scaled[i] = v / s.speed
-		}
-		vec = scaled
-	}
-	return &Response{Perf: &PerfResponse{
-		Cluster: s.cluster.Name,
-		Procs:   s.cluster.Procs,
-		Vector:  vec,
-	}}
-}
-
-func (s *SeD) handleExec(req *ExecRequest) *Response {
-	if req == nil {
-		return &Response{Err: "exec: empty payload"}
-	}
-	if len(req.ScenarioIDs) == 0 {
-		return &Response{Exec: &ExecResponse{Cluster: s.cluster.Name}}
-	}
-	h, err := core.ByName(req.Heuristic)
-	if err != nil {
-		return &Response{Err: err.Error()}
-	}
-	app := core.Application{Scenarios: len(req.ScenarioIDs), Months: req.Months}
-	alloc, err := h.Plan(app, s.cluster.Timing, s.cluster.Procs)
-	if err != nil {
-		return &Response{Err: err.Error()}
-	}
-	res, err := exec.Run(app, s.cluster.Timing, s.cluster.Procs, alloc, s.opts)
-	if err != nil {
-		return &Response{Err: err.Error()}
-	}
-	return &Response{Exec: &ExecResponse{
-		Cluster:    s.cluster.Name,
-		Makespan:   res.Makespan,
-		Allocation: alloc,
-		Scenarios:  len(req.ScenarioIDs),
-	}}
 }
 
 // Client drives the six-step protocol against a master agent.

@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"oagrid/internal/core"
+	"oagrid/internal/engine"
 )
 
 // Protocol versions. Every frame carries the version its sender negotiated
@@ -316,6 +317,10 @@ type ExecResponse struct {
 	// ordering deterministic when the same cluster serves equal-sized chunks
 	// in two rounds.
 	FirstScenario int
+	// Result is the SeD's full backend report (utilization, trace, ...). It
+	// reaches only an in-process caller: no codec or journal carries it, so
+	// it is nil on every decoded or replayed report.
+	Result *engine.Result `json:"-"`
 }
 
 // CampaignMakespan folds chunk reports into a campaign's completion time:

@@ -2,6 +2,7 @@ package grid
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -31,6 +32,11 @@ type campaign struct {
 	// queue slot was taken. Both are immutable once the campaign is visible.
 	tenant     string
 	enqueuedAt time.Time
+	// submitter is the context of an in-process submission (RunContext):
+	// when it ends, the campaign pauses. nil for wire submissions and
+	// journal-recovered campaigns, whose submitters cannot pause them.
+	// Immutable once the campaign is visible.
+	submitter context.Context
 
 	// cancelCh closes when a cancel claims the campaign: in-flight SeD round
 	// trips abort on it and the dispatcher stops at the next chunk boundary.
@@ -41,7 +47,12 @@ type campaign struct {
 	// completion, failure, or cancel — wins claim() and drives the campaign
 	// terminal; every frame publish after the claim is dropped, so a cancel
 	// verdict is never followed by a chunk frame.
-	claimed  bool
+	claimed bool
+	// paused marks a terminal transition this process took without
+	// journaling it (a shutdown, or an in-process submitter giving up): the
+	// campaign reports failed here, but a scheduler reopened on the state
+	// dir resumes it — unless a later Cancel makes the stop durable.
+	paused   bool
 	status   string
 	makespan float64
 	reports  []diet.ExecResponse
@@ -188,6 +199,20 @@ func (c *campaign) cancelledNow() bool {
 	}
 }
 
+// unpause turns a paused campaign into a cancelled one and reports whether
+// it did; the caller owes the journal the terminal record.
+func (c *campaign) unpause() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.paused {
+		return false
+	}
+	c.paused = false
+	c.status = diet.CampaignCancelled
+	c.errMsg = ""
+	return true
+}
+
 // info snapshots the campaign's control-plane view.
 func (c *campaign) info() diet.CampaignInfo {
 	c.mu.Lock()
@@ -270,6 +295,20 @@ func (c *campaign) publish(u diet.ProgressUpdate) {
 		}
 	}
 	c.mu.Unlock()
+}
+
+// attachVerdict is the answer to an attach: the campaign's identity, status
+// and progress gauges.
+func (c *campaign) attachVerdict() *diet.AttachResponse {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return &diet.AttachResponse{
+		ID:     c.id,
+		Found:  true,
+		Status: c.status,
+		Done:   c.scenariosDone,
+		Total:  c.app.Scenarios,
+	}
 }
 
 // snapshot copies the campaign's client-visible state, including the
@@ -356,7 +395,7 @@ func (s *Scheduler) drainQueue() {
 			// decrements them) but record no queue wait — a shutdown drain
 			// must not inflate the fairness wait moments.
 			s.bumpRunning(c)
-			if !s.failCampaign(c, "grid: scheduler shut down", false) {
+			if !s.failCampaign(c, errShutdown.Error(), false) {
 				s.releaseRunning(c)
 			}
 		default:
@@ -366,11 +405,12 @@ func (s *Scheduler) drainQueue() {
 }
 
 // failCampaign drives a campaign to the failed state. journal records the
-// failure as terminal; shutdown failures pass false, because with a state
-// dir a shutdown is a pause — the journal keeps the campaign non-terminal
-// and a restarted daemon re-admits it. It reports false when a cancel beat
-// it to the terminal claim: the campaign is already cancelled and the
-// caller backs out of its gauges.
+// failure as terminal; pauses pass false — a shutdown, or an in-process
+// submitter whose context ended — and the campaign is then terminal only in
+// this process: the journal keeps it non-terminal, a scheduler restarted on
+// the state dir re-admits it, and a later Cancel makes the stop durable. It
+// reports false when a cancel beat it to the terminal claim: the campaign
+// is already cancelled and the caller backs out of its gauges.
 func (s *Scheduler) failCampaign(c *campaign, msg string, journal bool) bool {
 	if !c.claim() {
 		return false
@@ -378,6 +418,7 @@ func (s *Scheduler) failCampaign(c *campaign, msg string, journal bool) bool {
 	c.mu.Lock()
 	reports := append([]diet.ExecResponse(nil), c.reports...)
 	requeues := c.requeues
+	c.paused = !journal
 	c.mu.Unlock()
 	// Sort the partial reports like the success path does, so a failed
 	// snapshot — and its journal-recovered twin — have one canonical order.
@@ -385,10 +426,30 @@ func (s *Scheduler) failCampaign(c *campaign, msg string, journal bool) bool {
 	if journal {
 		s.journal(store.Record{Kind: store.KindDone, ID: c.id, Status: diet.CampaignFailed, Requeues: requeues, Err: msg})
 	}
-	c.complete(diet.CampaignFailed, 0, reports, requeues, msg)
 	s.finish(c, true)
+	c.complete(diet.CampaignFailed, 0, reports, requeues, msg)
 	return true
 }
+
+// abandon resolves a campaign whose abort context ended mid-run: a cancel
+// already owns it, a passed deadline fails it terminally, and an ended
+// in-process submitter pauses it. It returns what runCampaign returns.
+func (s *Scheduler) abandon(c *campaign, abortCtx context.Context) bool {
+	if c.cancelledNow() {
+		return false
+	}
+	if errors.Is(abortCtx.Err(), context.DeadlineExceeded) {
+		c.mu.Lock()
+		unplaced := len(c.remaining)
+		c.mu.Unlock()
+		return s.failCampaign(c, fmt.Sprintf("grid: campaign %d timed out with %d scenarios unplaced", c.id, unplaced), true)
+	}
+	return s.failCampaign(c, c.submitter.Err().Error(), false)
+}
+
+// errShutdown is the outcome of a chunk that never reached its SeD because
+// the scheduler shut down while it waited for an in-flight slot.
+var errShutdown = errors.New("grid: scheduler shut down")
 
 // chunkReport is one dispatched chunk's outcome.
 type chunkReport struct {
@@ -411,22 +472,27 @@ func (s *Scheduler) runCampaign(c *campaign) bool {
 	if timeout <= 0 {
 		timeout = s.cfg.CampaignTimeout
 	}
-	deadline := time.Now().Add(timeout)
 
-	// abortCtx aborts in-flight SeD round trips the moment the campaign is
-	// cancelled — cancellation propagates to the wire, not just to the
-	// dispatch loop's checkpoints. Scheduler shutdown deliberately does NOT
-	// abort in-flight exchanges: a graceful Close lets them finish and bank
-	// their chunks (shutdown is a pause), and aborting would shunt healthy
-	// SeDs onto the death/requeue path.
-	abortCtx, abort := context.WithCancel(context.Background())
+	// abortCtx aborts in-flight SeD calls the moment the campaign is
+	// cancelled, its deadline passes, or its in-process submitter gives up —
+	// the stop propagates to the wire (or into the in-process evaluation),
+	// not just to the dispatch loop's checkpoints. Scheduler shutdown
+	// deliberately does NOT abort in-flight exchanges: a graceful Close lets
+	// them finish and bank their chunks (shutdown is a pause), and aborting
+	// would shunt healthy SeDs onto the death/requeue path.
+	abortCtx, abort := context.WithTimeout(context.Background(), timeout)
 	defer abort()
+	var paused <-chan struct{} // never ready for wire submissions
+	if c.submitter != nil {
+		paused = c.submitter.Done()
+	}
 	go func() {
 		select {
 		case <-c.cancelCh:
-			abort()
+		case <-paused:
 		case <-abortCtx.Done():
 		}
+		abort()
 	}()
 
 	for {
@@ -442,11 +508,11 @@ func (s *Scheduler) runCampaign(c *campaign) bool {
 		}
 		select {
 		case <-s.done:
-			return s.failCampaign(c, "grid: scheduler shut down", false)
+			return s.failCampaign(c, errShutdown.Error(), false)
 		default:
 		}
-		if time.Now().After(deadline) {
-			return s.failCampaign(c, fmt.Sprintf("grid: campaign %d timed out with %d scenarios unplaced", c.id, len(remaining)), true)
+		if abortCtx.Err() != nil {
+			return s.abandon(c, abortCtx)
 		}
 
 		if cont, ok := s.runRound(abortCtx, c, remaining, round); !cont {
@@ -466,8 +532,8 @@ func (s *Scheduler) runCampaign(c *campaign) bool {
 	sortReports(reports)
 	makespan := diet.CampaignMakespan(reports)
 	s.journal(store.Record{Kind: store.KindDone, ID: c.id, Status: diet.CampaignDone, Makespan: makespan, Requeues: requeues})
-	c.complete(diet.CampaignDone, makespan, reports, requeues, "")
 	s.finish(c, false)
+	c.complete(diet.CampaignDone, makespan, reports, requeues, "")
 	return true
 }
 
@@ -479,15 +545,38 @@ func (s *Scheduler) runCampaign(c *campaign) bool {
 // when the last round that might still dispatch to it has fully processed
 // its results, so scale-down can deregister without orphaning a chunk.
 func (s *Scheduler) runRound(abortCtx context.Context, c *campaign, remaining []int, round int) (cont, ok bool) {
-	// Steps 1-3: performance vectors from every live SeD. A daemon that
-	// fails the exchange drops out of this attempt's pool.
+	// Steps 1-3: performance vectors from every live SeD — from the cache
+	// where it has them, the rest asked concurrently. A TCP daemon that
+	// fails the exchange drops out of this attempt's pool; an in-process
+	// one fails the campaign, and an aborted exchange ends it (see
+	// abandon).
 	seds := s.aliveSeDs()
 	defer s.releaseSeDs(seds)
+	vecs := make([][]float64, len(seds))
+	errs := make([]error, len(seds))
+	var wg sync.WaitGroup
+	for i, ref := range seds {
+		if vecs[i] = s.cachedVector(ref, len(remaining), c.app.Months, c.heuristic); vecs[i] != nil {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			vecs[i], errs[i] = s.vector(abortCtx, ref, len(remaining), c.app.Months, c.heuristic)
+		}()
+	}
+	wg.Wait()
 	var pool []sedRef
 	var perf [][]float64
-	for _, ref := range seds {
-		vec, err := s.vector(ref, len(remaining), c.app.Months, c.heuristic)
+	for i, ref := range seds {
+		vec, err := vecs[i], errs[i]
 		if err != nil {
+			if abortCtx.Err() != nil {
+				return false, s.abandon(c, abortCtx)
+			}
+			if ref.st.local != nil {
+				return false, s.failCampaign(c, err.Error(), true)
+			}
 			s.markDead(ref.st, ref.info.Addr)
 			continue
 		}
@@ -497,9 +586,9 @@ func (s *Scheduler) runRound(abortCtx context.Context, c *campaign, remaining []
 	if len(pool) == 0 {
 		select {
 		case <-s.done:
-			return false, s.failCampaign(c, "grid: scheduler shut down", false)
-		case <-c.cancelCh:
-			return false, false
+			return false, s.failCampaign(c, errShutdown.Error(), false)
+		case <-abortCtx.Done():
+			return false, s.abandon(c, abortCtx)
 		case <-time.After(s.cfg.RetryEvery):
 		}
 		return true, false
@@ -534,7 +623,8 @@ func (s *Scheduler) runRound(abortCtx context.Context, c *campaign, remaining []
 		launched++
 		go s.dispatchChunk(abortCtx, c, ref, chunks[i], results)
 	}
-	cancelled := false
+	cancelled, shutdown := false, false
+	var failed error
 	for ; launched > 0; launched-- {
 		r := <-results
 		if c.cancelledNow() {
@@ -544,6 +634,20 @@ func (s *Scheduler) runRound(abortCtx context.Context, c *campaign, remaining []
 			// frames after the cancel verdict. The SeD is not marked
 			// dead for an abort-induced error.
 			cancelled = true
+			continue
+		}
+		if errors.Is(r.err, errShutdown) {
+			// Never dispatched: the scheduler is pausing, the SeD is fine.
+			shutdown = true
+			continue
+		}
+		if r.err != nil && (abortCtx.Err() != nil || r.ref.st.local != nil) {
+			// An aborted chunk (deadline, paused submitter) or a failed
+			// in-process SeD ends the campaign once the round drained; no
+			// SeD is marked dead and nothing is requeued.
+			if failed == nil {
+				failed = r.err
+			}
 			continue
 		}
 		if r.err != nil {
@@ -594,6 +698,14 @@ func (s *Scheduler) runRound(abortCtx context.Context, c *campaign, remaining []
 	if cancelled || c.cancelledNow() {
 		return false, false
 	}
+	switch {
+	case failed != nil && abortCtx.Err() != nil:
+		return false, s.abandon(c, abortCtx)
+	case shutdown:
+		return false, s.failCampaign(c, errShutdown.Error(), false)
+	case failed != nil:
+		return false, s.failCampaign(c, failed.Error(), true)
+	}
 	c.mu.Lock()
 	c.round++
 	c.mu.Unlock()
@@ -605,10 +717,10 @@ func (s *Scheduler) runRound(abortCtx context.Context, c *campaign, remaining []
 // with a total-order key: the same cluster can serve equal-sized chunks in
 // two rounds, and an unstable (Cluster, Scenarios) sort would order those
 // ties by interleaving — flaking the bit-identity tests. Round is the
-// public tiebreak (a cluster serves at most one chunk per round, and the
-// Local runner sorts its reports the same way); FirstScenario — unique
-// across completed chunks, whose scenario sets are disjoint — backstops
-// the key into a total order.
+// public tiebreak (a cluster serves at most one chunk per round, and
+// ClusterReport documents the (cluster, scenarios, round) order to every
+// runner); FirstScenario — unique across completed chunks, whose scenario
+// sets are disjoint — backstops the key into a total order.
 //
 //oalint:deterministic
 func sortReports(reports []diet.ExecResponse) {
@@ -627,9 +739,9 @@ func sortReports(reports []diet.ExecResponse) {
 }
 
 // dispatchChunk sends one cluster its scenario share (protocol step 5) and
-// reports the execution answer (step 6). ctx aborts the round trip when the
-// campaign is cancelled or the scheduler shuts down, so a cancel never waits
-// out a slow SeD.
+// reports the execution answer (step 6). ctx aborts the call when the
+// campaign is cancelled, its deadline passes or its in-process submitter
+// gives up, so none of them waits out a slow SeD.
 func (s *Scheduler) dispatchChunk(ctx context.Context, c *campaign, ref sedRef, ids []int, out chan<- chunkReport) {
 	select {
 	case ref.st.sem <- struct{}{}:
@@ -638,14 +750,14 @@ func (s *Scheduler) dispatchChunk(ctx context.Context, c *campaign, ref sedRef, 
 		out <- chunkReport{ref: ref, ids: ids, err: fmt.Errorf("grid: chunk dispatch aborted: %w", ctx.Err())}
 		return
 	case <-s.done:
-		out <- chunkReport{ref: ref, ids: ids, err: fmt.Errorf("grid: scheduler shut down")}
+		out <- chunkReport{ref: ref, ids: ids, err: errShutdown}
 		return
 	}
-	resp, err := diet.RoundTripContext(ctx, ref.info.Addr, &diet.Request{Version: diet.ProtocolVersion, Kind: diet.KindExec, Exec: &diet.ExecRequest{
+	resp, err := s.call(ctx, ref, &diet.Request{Version: diet.ProtocolVersion, Kind: diet.KindExec, Exec: &diet.ExecRequest{
 		ScenarioIDs: ids,
 		Months:      c.app.Months,
 		Heuristic:   c.heuristic,
-	}}, sedCallTimeout)
+	}})
 	if err != nil {
 		out <- chunkReport{ref: ref, ids: ids, err: err}
 		return

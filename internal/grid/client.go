@@ -300,16 +300,24 @@ func (c *Client) streamResult(ctx context.Context, st *campaignStream, id uint64
 				onProgress(frame.Progress)
 			}
 		case frame.Result != nil:
-			if frame.Result.Status == diet.CampaignFailed {
-				return frame.Result, fmt.Errorf("%w: campaign %d: %s", ErrCampaignFailed, frame.Result.ID, frame.Result.Err)
-			}
-			if frame.Result.Status == diet.CampaignCancelled {
-				return frame.Result, fmt.Errorf("%w: campaign %d", ErrCampaignCancelled, frame.Result.ID)
-			}
-			return frame.Result, nil
+			return resultError(frame.Result)
 		default:
 			return nil, fmt.Errorf("%w: %s sent an empty frame for campaign %d", ErrProtocol, st.addr, id)
 		}
+	}
+}
+
+// resultError maps a campaign's terminal snapshot onto its typed outcome: a
+// failed campaign wraps ErrCampaignFailed, a cancelled one
+// ErrCampaignCancelled.
+func resultError(res *diet.CampaignResult) (*diet.CampaignResult, error) {
+	switch res.Status {
+	case diet.CampaignFailed:
+		return res, fmt.Errorf("%w: campaign %d: %s", ErrCampaignFailed, res.ID, res.Err)
+	case diet.CampaignCancelled:
+		return res, fmt.Errorf("%w: campaign %d", ErrCampaignCancelled, res.ID)
+	default:
+		return res, nil
 	}
 }
 

@@ -82,7 +82,7 @@ func TestSchedulerCancelQueuedCampaign(t *testing.T) {
 	}, 2)
 
 	c := &Client{Addr: f.Sched.Addr(), Timeout: time.Minute}
-	occupant, err := c.Submit(core.Application{Scenarios: 6, Months: 120}, core.NameKnapsack)
+	occupant, err := c.Submit(core.Application{Scenarios: 6, Months: 1200}, core.NameKnapsack)
 	if err != nil {
 		t.Fatal(err)
 	}

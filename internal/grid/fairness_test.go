@@ -303,7 +303,7 @@ func TestTenantTableBounded(t *testing.T) {
 		_, verdict, err := s.admit(&diet.SubmitRequest{
 			Scenarios: 1, Months: 1, Heuristic: core.NameKnapsack,
 			Labels: map[string]string{DefaultTenantKey: tenant},
-		})
+		}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

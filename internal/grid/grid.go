@@ -25,9 +25,22 @@
 // a strict superset of the passive MasterAgent: register/list still work,
 // so the one-shot diet.Client can run its protocol against a live daemon
 // unchanged.
+//
+// The same scheduler also runs with no wire at all. SeDs handed to Start
+// are in-process: the scheduler calls their diet.Handler directly instead
+// of a TCP round trip, they are always alive (no heartbeat, no eviction),
+// their performance vectors are asked for every round instead of cached,
+// and an error from one fails the campaign instead of triggering a
+// requeue. An empty Config.Addr opens no listener, so a scheduler over
+// in-process SeDs opens no socket; its callers drive it through the
+// methods that mirror Client (RunContext, AttachContext, CancelContext,
+// InfoContext, ListCampaignsContext). This is how oagrid.Local runs:
+// every campaign state transition — claim, cancel, pause, journal,
+// recovery, retention — is this package's, whichever runner submitted it.
 package grid
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -46,6 +59,8 @@ import (
 // default documented on it.
 type Config struct {
 	// Addr is the TCP listen address ("127.0.0.1:0" for an ephemeral port).
+	// Empty starts no listener: the scheduler then serves only in-process
+	// callers and in-process SeDs.
 	Addr string
 	// QueueCap bounds the campaign queue; submissions beyond it are rejected
 	// at admission (default 64).
@@ -207,8 +222,13 @@ type sedState struct {
 	leases int
 	// sem enforces the per-SeD in-flight limit; it survives re-registration
 	// so tokens held across an eviction/rejoin stay accounted.
-	sem     chan struct{}
+	sem chan struct{}
+	// vectors caches a TCP SeD's performance vectors; nil for an
+	// in-process SeD, which is asked every round (see cachedVector).
 	vectors map[vecKey][]float64
+	// local is the handler of an in-process SeD, called directly instead of
+	// over the wire; nil for a TCP SeD. Immutable after Start.
+	local *diet.Handler
 }
 
 // tenantState is one tenant's slice of the weighted-fair queue: its queued
@@ -359,10 +379,12 @@ func (s *Scheduler) quotaFor(name string) int {
 	return s.cfg.TenantQuota
 }
 
-// Start listens on cfg.Addr and begins serving. With a StateDir, the
-// journal found there is replayed first: terminal campaigns come back
-// pollable, non-terminal campaigns are re-admitted ahead of new traffic.
-func Start(cfg Config) (*Scheduler, error) {
+// Start listens on cfg.Addr (no listener when it is empty) and begins
+// serving. The seds are in-process SeDs, registered before any campaign
+// dispatches: always alive, called directly. With a StateDir, the journal
+// found there is replayed first: terminal campaigns come back pollable,
+// non-terminal campaigns are re-admitted ahead of new traffic.
+func Start(cfg Config, seds ...*diet.Handler) (*Scheduler, error) {
 	if p := cfg.MaxProtocol; p > 0 && p < diet.ProtocolV4 {
 		return nil, fmt.Errorf("grid: MaxProtocol %d is below the v%d wire floor", p, diet.ProtocolV4)
 	}
@@ -379,12 +401,15 @@ func Start(cfg Config) (*Scheduler, error) {
 	}
 	recovered := store.ByID(byID)
 
-	ln, err := net.Listen("tcp", cfg.Addr)
-	if err != nil {
-		if st != nil {
-			st.Close()
+	var ln net.Listener
+	if cfg.Addr != "" {
+		var err error
+		if ln, err = net.Listen("tcp", cfg.Addr); err != nil {
+			if st != nil {
+				st.Close()
+			}
+			return nil, fmt.Errorf("grid: scheduler listen: %w", err)
 		}
-		return nil, fmt.Errorf("grid: scheduler listen: %w", err)
 	}
 
 	// Size the queue to hold the recovered backlog on top of the admission
@@ -407,6 +432,16 @@ func Start(cfg Config) (*Scheduler, error) {
 		campaigns: make(map[uint64]*campaign),
 	}
 	s.nextID = store.MaxID(byID)
+	for _, h := range seds {
+		cl := h.Cluster()
+		s.seds[cl.Name] = &sedState{
+			info:  diet.SeDInfo{Cluster: cl.Name, Procs: cl.Procs},
+			alive: true,
+			speed: h.Speed(),
+			sem:   make(chan struct{}, cfg.PerSeDInFlight),
+			local: h,
+		}
+	}
 
 	// Rebuild the campaign table and re-admit the unfinished backlog in
 	// original admission order, before the dispatchers start. Recovered
@@ -469,7 +504,9 @@ func Start(cfg Config) (*Scheduler, error) {
 	if cfg.MetricsAddr != "" {
 		m, err := startMetrics(cfg.MetricsAddr, s)
 		if err != nil {
-			ln.Close()
+			if ln != nil {
+				ln.Close()
+			}
 			if st != nil {
 				st.Close()
 			}
@@ -478,9 +515,14 @@ func Start(cfg Config) (*Scheduler, error) {
 		s.metrics = m
 	}
 
-	s.wg.Add(1 + cfg.Dispatchers)
-	go s.acceptLoop()
-	go s.evictLoop()
+	// Without a listener no TCP SeD can register, so there is nothing to
+	// evict either.
+	if ln != nil {
+		s.wg.Add(1)
+		go s.acceptLoop()
+		go s.evictLoop()
+	}
+	s.wg.Add(cfg.Dispatchers)
 	for i := 0; i < cfg.Dispatchers; i++ {
 		go s.dispatchLoop()
 	}
@@ -500,8 +542,13 @@ func (s *Scheduler) journal(rec store.Record) {
 	_ = s.store.Append(rec)
 }
 
-// Addr returns the daemon's listen address.
-func (s *Scheduler) Addr() string { return s.ln.Addr().String() }
+// Addr returns the daemon's listen address, empty without a listener.
+func (s *Scheduler) Addr() string {
+	if s.ln == nil {
+		return ""
+	}
+	return s.ln.Addr().String()
+}
 
 // MetricsAddr returns the /metrics endpoint's listen address, empty when
 // the endpoint is off.
@@ -529,7 +576,10 @@ func (s *Scheduler) SetMetricsHook(hook func(io.Writer)) {
 // dir the shutdown failures are not journaled as terminal — a scheduler
 // restarted on the same directory re-admits and finishes them.
 func (s *Scheduler) Close() error {
-	err := s.ln.Close()
+	var err error
+	if s.ln != nil {
+		err = s.ln.Close()
+	}
 	select {
 	case <-s.done:
 	default:
@@ -561,7 +611,7 @@ func (s *Scheduler) evictLoop() {
 		now := time.Now()
 		s.mu.Lock()
 		for _, st := range s.seds {
-			if st.alive && now.Sub(st.lastBeat) > s.cfg.EvictAfter {
+			if st.alive && st.local == nil && now.Sub(st.lastBeat) > s.cfg.EvictAfter {
 				st.alive = false
 				s.evicted++
 			}
@@ -687,22 +737,31 @@ func (s *Scheduler) markDead(st *sedState, addr string) {
 	}
 }
 
-// vector returns the SeD's performance vector for at least n scenarios,
-// serving from the per-SeD cache when possible.
-func (s *Scheduler) vector(ref sedRef, n, months int, heuristic string) ([]float64, error) {
-	key := vecKey{months: months, heuristic: heuristic}
-	s.mu.Lock()
-	if v := ref.st.vectors[key]; len(v) >= n {
-		s.mu.Unlock()
-		return v[:n:n], nil
+// cachedVector returns a TCP SeD's cached performance vector for at least
+// n scenarios, nil when the cache holds none. An in-process SeD is never
+// served from the cache: it evaluates through its runner's backend, which
+// need not be deterministic (a realrun backend measures wall clock), so a
+// cached vector could outlive the measurement it came from.
+func (s *Scheduler) cachedVector(ref sedRef, n, months int, heuristic string) []float64 {
+	if ref.st.local != nil {
+		return nil
 	}
-	s.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if v := ref.st.vectors[vecKey{months: months, heuristic: heuristic}]; len(v) >= n {
+		return v[:n:n]
+	}
+	return nil
+}
 
-	resp, err := diet.RoundTripTimeout(ref.info.Addr, &diet.Request{Version: diet.ProtocolVersion, Kind: diet.KindPerf, Perf: &diet.PerfRequest{
+// vector asks the SeD for its performance vector for n scenarios and
+// caches a TCP SeD's answer. ctx aborts the request.
+func (s *Scheduler) vector(ctx context.Context, ref sedRef, n, months int, heuristic string) ([]float64, error) {
+	resp, err := s.call(ctx, ref, &diet.Request{Version: diet.ProtocolVersion, Kind: diet.KindPerf, Perf: &diet.PerfRequest{
 		Scenarios: n,
 		Months:    months,
 		Heuristic: heuristic,
-	}}, sedCallTimeout)
+	}})
 	if err != nil {
 		return nil, err
 	}
@@ -710,11 +769,14 @@ func (s *Scheduler) vector(ref sedRef, n, months int, heuristic string) ([]float
 		return nil, fmt.Errorf("grid: SeD %s returned a short vector", ref.info.Cluster)
 	}
 	vec := resp.Perf.Vector
-	s.mu.Lock()
-	if len(vec) > len(ref.st.vectors[key]) {
-		ref.st.vectors[key] = vec
+	if ref.st.local == nil {
+		key := vecKey{months: months, heuristic: heuristic}
+		s.mu.Lock()
+		if len(vec) > len(ref.st.vectors[key]) {
+			ref.st.vectors[key] = vec
+		}
+		s.mu.Unlock()
 	}
-	s.mu.Unlock()
 	return vec[:n:n], nil
 }
 
@@ -722,6 +784,15 @@ func (s *Scheduler) vector(ref sedRef, n, months int, heuristic string) ([]float
 // time and fast, but a loaded box (CI under the race detector) can stall a
 // goroutine well past the transport's 5s default.
 const sedCallTimeout = 30 * time.Second
+
+// call sends one request to a SeD: a direct call to an in-process SeD, a
+// wire round trip otherwise. ctx aborts either.
+func (s *Scheduler) call(ctx context.Context, ref sedRef, req *diet.Request) (*diet.Response, error) {
+	if ref.st.local != nil {
+		return ref.st.local.Call(ctx, req)
+	}
+	return diet.RoundTripContext(ctx, ref.info.Addr, req, sedCallTimeout)
+}
 
 // Stats snapshots the scheduler's gauges and the SeD table.
 func (s *Scheduler) Stats() diet.StatsResponse {
@@ -787,8 +858,9 @@ func (s *Scheduler) Stats() diet.StatsResponse {
 // request returns an error (a protocol-level failure the client must not
 // retry); a full queue or an exhausted tenant quota returns a nil campaign
 // with Accepted=false and the matching reject code (a transient verdict
-// worth retrying).
-func (s *Scheduler) admit(req *diet.SubmitRequest) (*campaign, *diet.SubmitResponse, error) {
+// worth retrying). submitter is the in-process submitter's context, whose
+// end pauses the campaign; nil for a wire submission.
+func (s *Scheduler) admit(req *diet.SubmitRequest, submitter context.Context) (*campaign, *diet.SubmitResponse, error) {
 	app := core.Application{Scenarios: req.Scenarios, Months: req.Months}
 	if err := app.Validate(); err != nil {
 		return nil, nil, err
@@ -834,6 +906,7 @@ func (s *Scheduler) admit(req *diet.SubmitRequest) (*campaign, *diet.SubmitRespo
 	})
 	c.tenant = tenantName
 	c.enqueuedAt = time.Now()
+	c.submitter = submitter
 	// Reserve the queue slot (global and tenant) before the journal write:
 	// concurrent admissions must never overshoot the admission bound (and
 	// with it the token channel's capacity) or the tenant quota.
@@ -1018,7 +1091,9 @@ func (s *Scheduler) lookup(id uint64) *campaign {
 }
 
 // finish moves a campaign out of the running gauges and prunes the oldest
-// finished entries beyond the retention cap.
+// finished entries beyond the retention cap. Terminal paths call it before
+// campaign.complete publishes the result: a client holding this campaign's
+// result must never still find one the cap has already pruned.
 func (s *Scheduler) finish(c *campaign, failed bool) {
 	s.mu.Lock()
 	s.running--
@@ -1065,6 +1140,19 @@ func (s *Scheduler) Cancel(id uint64) (found bool, status string) {
 		// a claim race may observe the winner's fields only after complete()
 		// runs, so wait for the terminal state.
 		<-c.done
+		// A paused campaign is terminal only in this process: its journal
+		// is non-terminal and a reopened scheduler would resume it. The
+		// cancel makes the stop durable.
+		if c.unpause() {
+			s.journal(store.Record{Kind: store.KindCancelled, ID: c.id})
+			s.mu.Lock()
+			t := s.tenant(c.tenant)
+			s.failed--
+			t.failed--
+			s.cancelled++
+			t.cancelled++
+			s.mu.Unlock()
+		}
 		return true, c.snapshot().Status
 	}
 	// Stop work first — in-flight SeD round trips abort on the closed cancel
@@ -1076,16 +1164,17 @@ func (s *Scheduler) Cancel(id uint64) (found bool, status string) {
 	requeues := c.requeues
 	c.mu.Unlock()
 	sortReports(reports)
-	c.complete(diet.CampaignCancelled, 0, reports, requeues, "")
 	// Gauge discipline: a still-queued campaign keeps its queue slot until a
 	// dispatcher pops the corpse and skips it (see dispatchLoop); a running
 	// campaign's dispatcher notices the lost claim and backs out of the
-	// running gauge itself. Cancel only counts and retires.
+	// running gauge itself. Cancel only counts and retires — before the
+	// verdict is published, like every terminal path (see finish).
 	s.mu.Lock()
 	s.cancelled++
 	s.tenant(c.tenant).cancelled++
 	s.retire(c)
 	s.mu.Unlock()
+	c.complete(diet.CampaignCancelled, 0, reports, requeues, "")
 	return true, diet.CampaignCancelled
 }
 

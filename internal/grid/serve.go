@@ -1,11 +1,13 @@
 package grid
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"sort"
 	"time"
 
+	"oagrid/internal/core"
 	"oagrid/internal/diet"
 )
 
@@ -128,7 +130,7 @@ func (s *Scheduler) serveSubmit(send *binSender, req *diet.SubmitRequest) {
 		_ = send.send(&diet.Response{Err: "submit: empty payload"})
 		return
 	}
-	c, verdict, err := s.admit(req)
+	c, verdict, err := s.admit(req, nil)
 	if err != nil {
 		// Malformed campaign: a protocol error, not an admission verdict —
 		// retrying it can never succeed.
@@ -176,14 +178,7 @@ func (s *Scheduler) serveAttach(send *binSender, req *diet.AttachRequest) {
 		sub = c.subscribe()
 		defer c.unsubscribe(sub)
 	}
-	snap := c.snapshot()
-	if err := send.send(&diet.Response{Attach: &diet.AttachResponse{
-		ID:     c.id,
-		Found:  true,
-		Status: snap.Status,
-		Done:   snap.Done,
-		Total:  snap.Total,
-	}}); err != nil {
+	if err := send.send(&diet.Response{Attach: c.attachVerdict()}); err != nil {
 		return
 	}
 	s.streamCampaign(send, c, sub)
@@ -216,7 +211,7 @@ func (s *Scheduler) streamCampaign(send *binSender, c *campaign, sub chan *progr
 			_ = send.send(&diet.Response{Result: c.snapshot()})
 			return
 		case <-s.done:
-			_ = send.send(&diet.Response{Err: "grid: scheduler shut down"})
+			_ = send.send(&diet.Response{Err: errShutdown.Error()})
 			return
 		}
 	}
@@ -289,4 +284,113 @@ func (s *Scheduler) listSeDs() []diet.SeDInfo {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Cluster < out[j].Cluster })
 	return out
+}
+
+// ---- in-process client ------------------------------------------------------
+//
+// The methods below serve Client's method set in process, with Client's
+// typed errors: an embedder (oagrid.Local) drives the scheduler exactly as
+// a Dial runner drives a daemon, minus the wire.
+
+// RunContext is Client.RunContext served in process: the campaign is
+// admitted directly, its progress frames go to onProgress, and the result
+// is its terminal snapshot. Admission does not wait on ctx. Once admitted,
+// ctx is the campaign's submitter: when it ends, the campaign pauses — its
+// in-flight evaluation aborts, it reports failed, and the journal keeps it
+// non-terminal, so a scheduler reopened on the state dir resumes it (a
+// later Cancel makes the stop durable) — and RunContext returns ctx's
+// error.
+func (s *Scheduler) RunContext(ctx context.Context, app core.Application, heuristic string, meta SubmitMeta, onAdmit func(uint64), onProgress func(*diet.ProgressUpdate)) (*diet.CampaignResult, error) {
+	c, verdict, err := s.admit(&diet.SubmitRequest{
+		Scenarios: app.Scenarios,
+		Months:    app.Months,
+		Heuristic: heuristic,
+		Priority:  meta.Priority,
+		Labels:    meta.Labels,
+		Deadline:  meta.Deadline,
+	}, ctx)
+	if err != nil {
+		return nil, err
+	}
+	if c == nil {
+		return nil, rejectionError(verdict)
+	}
+	sub := c.subscribe()
+	defer c.unsubscribe(sub)
+	if onAdmit != nil {
+		onAdmit(c.id)
+	}
+	return s.follow(ctx, c, sub, onProgress)
+}
+
+// AttachContext is Client.AttachContext served in process. ctx bounds only
+// this attachment, never the campaign.
+func (s *Scheduler) AttachContext(ctx context.Context, id uint64, onAttach func(*diet.AttachResponse), onProgress func(*diet.ProgressUpdate)) (*diet.CampaignResult, error) {
+	c := s.lookup(id)
+	if c == nil {
+		return nil, fmt.Errorf("%w: %d", ErrUnknownCampaign, id)
+	}
+	sub := c.subscribe()
+	defer c.unsubscribe(sub)
+	if onAttach != nil {
+		onAttach(c.attachVerdict())
+	}
+	return s.follow(ctx, c, sub, onProgress)
+}
+
+// follow is streamCampaign for an in-process caller: it delivers the
+// campaign's progress frames until the campaign ends, then returns its
+// result.
+func (s *Scheduler) follow(ctx context.Context, c *campaign, sub chan *progressFrame, onProgress func(*diet.ProgressUpdate)) (*diet.CampaignResult, error) {
+	deliver := func(f *progressFrame) {
+		if onProgress != nil {
+			onProgress(&f.u)
+		}
+	}
+	for {
+		select {
+		case f := <-sub:
+			deliver(f)
+		case <-c.done:
+			// Drain what was published before completion, so the stream is
+			// gapless.
+			for {
+				select {
+				case f := <-sub:
+					deliver(f)
+					continue
+				default:
+				}
+				break
+			}
+			return resultError(c.snapshot())
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		case <-s.done:
+			return nil, fmt.Errorf("%w: campaign %d: %v", ErrCampaignFailed, c.id, errShutdown)
+		}
+	}
+}
+
+// CancelContext is Client.CancelContext served in process.
+func (s *Scheduler) CancelContext(_ context.Context, id uint64) (string, error) {
+	found, status := s.Cancel(id)
+	if !found {
+		return "", fmt.Errorf("%w: %d", ErrUnknownCampaign, id)
+	}
+	return status, nil
+}
+
+// InfoContext is Client.InfoContext served in process.
+func (s *Scheduler) InfoContext(_ context.Context, id uint64) (*diet.CampaignInfo, error) {
+	info := s.CampaignInfo(id)
+	if !info.Found {
+		return nil, fmt.Errorf("%w: %d", ErrUnknownCampaign, id)
+	}
+	return info, nil
+}
+
+// ListCampaignsContext is Client.ListCampaignsContext served in process.
+func (s *Scheduler) ListCampaignsContext(_ context.Context, filter *diet.ListCampaignsRequest) ([]diet.CampaignInfo, error) {
+	return s.ListCampaigns(filter), nil
 }

@@ -14,10 +14,10 @@
 //
 // The client API v1 is one concept: a Runner accepts a Campaign and returns
 // a Handle streaming typed Events (planned, chunk-done, progress, result).
-// Two runners share the interface — Local runs the campaign on the
-// in-process engine, Dial submits it to a grid scheduler daemon over the
-// versioned wire protocol — and both produce bit-identical Results at
-// default options:
+// Two constructors build it over the same grid scheduler — Local runs one
+// in process, its SeDs calling the engine directly, Dial submits to a
+// scheduler daemon over the versioned wire protocol — and both produce
+// bit-identical Results at default options:
 //
 //	runner, _ := oagrid.Local(oagrid.FiveClusters())
 //	h, _ := runner.Run(ctx, oagrid.NewCampaign(10, 1800))

@@ -46,10 +46,11 @@ func (cfg runnerConfig) engineOptions() engine.Options {
 	}}
 }
 
-// WithBackend selects the evaluator a Local runner uses (ModelBackend,
+// WithBackend selects the evaluator a Local runner's in-process SeDs answer
+// with — performance vectors and chunk executions alike (ModelBackend,
 // DESBackend, or a realrun backend). The default is DESBackend, the
-// event-driven ground truth. Remote runners ignore it: the daemon's SeDs
-// own their backend.
+// event-driven ground truth, which is also what a daemon's TCP SeDs run.
+// Remote runners ignore it: the daemon's SeDs own their backend.
 func WithBackend(ev Evaluator) RunnerOption {
 	return func(cfg *runnerConfig) {
 		if ev != nil {
@@ -95,7 +96,7 @@ func WithTrace() RunnerOption {
 // every streamed frame (verdict, progress, result) must arrive within d.
 // Progress frames refresh the deadline, so a streamed campaign may run
 // longer than d in total — it fails only when the daemon goes silent for d
-// (default 2m). Local runners ignore it: cancel the Run context instead.
+// (default 2m). Local runners ignore it: they have no frames to bound.
 func WithTimeout(d time.Duration) RunnerOption {
 	return func(cfg *runnerConfig) { cfg.timeout = d }
 }
@@ -127,8 +128,8 @@ func newSubmitConfig(opts []SubmitOption) submitConfig {
 // WithPriority orders the campaign in the scheduler's admission queue:
 // higher-priority campaigns dispatch first, ties run in admission order.
 // The default is 0; negative priorities yield to everything. A Local runner
-// records the priority (Info/List report it) but dispatches immediately —
-// it has no admission queue to order.
+// queues like a daemon: it serves four campaigns at once, and priority
+// orders the rest.
 func WithPriority(p int) SubmitOption {
 	return func(cfg *submitConfig) { cfg.priority = p }
 }
@@ -152,8 +153,9 @@ func WithLabels(labels map[string]string) SubmitOption {
 
 // WithDeadline bounds this one campaign end to end (including requeue
 // rounds), overriding the scheduler's default campaign timeout. A campaign
-// past its deadline fails with ErrCampaignFailed. Zero keeps the runner's
-// default.
+// past its deadline fails with ErrCampaignFailed at once, its running round
+// interrupted. Zero keeps the runner's default: the daemon's campaign
+// timeout for Dial, none for Local.
 func WithDeadline(d time.Duration) SubmitOption {
 	return func(cfg *submitConfig) { cfg.deadline = d }
 }
@@ -165,15 +167,17 @@ func WithCampaignHeuristic(name string) SubmitOption {
 	return func(cfg *submitConfig) { cfg.heuristic = name }
 }
 
-// WithStateDir makes a Local runner durable: every campaign transition is
-// journaled to an append-only WAL under dir before it is acknowledged, and
-// a new Local runner opened on the same directory replays the journal —
-// finished campaigns stay attachable (Runner.Attach) under their original
-// IDs with their full event history, and campaigns a crash cut short are
-// automatically resumed, re-running only the scenarios without a completed
-// chunk. Remote runners ignore it: durability is the daemon's (start it
-// with `oarun -daemon -state DIR`). Journal-recovered reports carry no
-// backend Result (ClusterReport.Result is nil); makespans and allocations
+// WithStateDir makes a Local runner durable: dir becomes its in-process
+// scheduler's state dir, exactly a daemon's `-state`. Every campaign
+// transition is journaled to an append-only WAL under dir before it is
+// acknowledged, and a new Local runner opened on the same directory
+// replays the journal — finished campaigns stay attachable (Runner.Attach)
+// under their original IDs with their full event history, and campaigns a
+// crash, a paused context or Close cut short are automatically resumed,
+// re-running only the scenarios without a completed chunk. Remote runners
+// ignore it: durability is the daemon's (start it with
+// `oarun -daemon -state DIR`). Journal-recovered reports carry no backend
+// Result (ClusterReport.Result is nil); makespans and allocations
 // round-trip bit-exact.
 func WithStateDir(dir string) RunnerOption {
 	return func(cfg *runnerConfig) { cfg.stateDir = dir }
