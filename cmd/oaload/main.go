@@ -90,6 +90,7 @@ type loadReport struct {
 	BytesTx       uint64  `json:"bytes_tx"`
 	BytesRx       uint64  `json:"bytes_rx"`
 	FramesPerSec  float64 `json:"frames_per_sec"`
+	Dials         uint64  `json:"dials"`
 	P50Ms         float64 `json:"p50_ms"`
 	P95Ms         float64 `json:"p95_ms"`
 	P99Ms         float64 `json:"p99_ms"`
@@ -556,6 +557,7 @@ func main() {
 	wireAfter := diet.WireStats()
 	report.BytesTx = wireAfter.BytesTx - wireBefore.BytesTx
 	report.BytesRx = wireAfter.BytesRx - wireBefore.BytesRx
+	report.Dials = wireAfter.Dials - wireBefore.Dials
 	if frames := wireAfter.FramesTx + wireAfter.FramesRx - wireBefore.FramesTx - wireBefore.FramesRx; wall > 0 {
 		report.FramesPerSec = float64(frames) / wall.Seconds()
 	}
@@ -643,8 +645,8 @@ func main() {
 		completed, *campaigns, report.WallSeconds, report.ThroughputCPS)
 	fmt.Printf("latency p50 %.1fms  p95 %.1fms  p99 %.1fms   max queue depth %d  rejections %d  requeues %d\n",
 		report.P50Ms, report.P95Ms, report.P99Ms, report.MaxQueueDepth, report.Rejections, report.Requeues)
-	fmt.Printf("wire: %d B tx, %d B rx, %.0f frames/s\n",
-		report.BytesTx, report.BytesRx, report.FramesPerSec)
+	fmt.Printf("wire: %d B tx, %d B rx, %.0f frames/s, %d dials\n",
+		report.BytesTx, report.BytesRx, report.FramesPerSec, report.Dials)
 	if len(tenantNames) > 0 {
 		for _, name := range tenantNames {
 			tr := report.Tenants[name]

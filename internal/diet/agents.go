@@ -18,7 +18,7 @@ import (
 // MasterAgent is the registry the client queries for server daemons, the MA
 // of the DIET hierarchy (the LA layer of real DIET is collapsed into it).
 type MasterAgent struct {
-	ln net.Listener
+	sv *server
 
 	mu   sync.Mutex
 	seds []SeDInfo
@@ -30,16 +30,17 @@ func StartMasterAgent(addr string) (*MasterAgent, error) {
 	if err != nil {
 		return nil, fmt.Errorf("diet: master agent listen: %w", err)
 	}
-	ma := &MasterAgent{ln: ln}
-	go acceptLoop(ln, ma.handle)
+	ma := &MasterAgent{}
+	ma.sv = newServer(ln, ma.handle)
+	go ma.sv.run()
 	return ma, nil
 }
 
 // Addr returns the agent's listen address.
-func (ma *MasterAgent) Addr() string { return ma.ln.Addr().String() }
+func (ma *MasterAgent) Addr() string { return ma.sv.ln.Addr().String() }
 
-// Close stops the agent.
-func (ma *MasterAgent) Close() error { return ma.ln.Close() }
+// Close stops the agent: the listener and every open connection close.
+func (ma *MasterAgent) Close() error { return ma.sv.close() }
 
 // SeDs returns a snapshot of the registered daemons. The slice is a copy
 // taken under the mutex: callers may range over it while other SeDs keep
@@ -217,7 +218,7 @@ func (h *Handler) execute(ctx context.Context, req *ExecRequest) (*Response, err
 // a scheduler's pool.
 type SeD struct {
 	*Handler
-	ln net.Listener
+	sv *server
 
 	// draining is nonzero once Drain() ran: the daemon advertises the flag
 	// on every beat so the scheduler stops placing new chunks on it.
@@ -250,18 +251,20 @@ func StartSeDSpeed(addr string, cluster *platform.Cluster, opts exec.Options, sp
 	if err != nil {
 		return nil, fmt.Errorf("diet: SeD %s listen: %w", cluster.Name, err)
 	}
-	s := &SeD{Handler: h, ln: ln}
-	go acceptLoop(ln, h.serve)
+	s := &SeD{Handler: h, sv: newServer(ln, h.serve)}
+	go s.sv.run()
 	return s, nil
 }
 
 // Addr returns the daemon's listen address.
-func (s *SeD) Addr() string { return s.ln.Addr().String() }
+func (s *SeD) Addr() string { return s.sv.ln.Addr().String() }
 
-// Close stops the daemon and its heartbeat loop.
+// Close stops the daemon and its heartbeat loop. Every connection it is
+// serving closes too, so a closed daemon answers no further request, not
+// even on a connection a scheduler kept open.
 func (s *SeD) Close() error {
 	s.StopHeartbeats()
-	return s.ln.Close()
+	return s.sv.close()
 }
 
 // Draining reports whether Drain() has run.

@@ -11,15 +11,19 @@
 //	(6) each cluster executes its share.
 //
 // Transport is TCP carrying length-prefixed binary frames (see binary.go),
-// one request frame per connection. The original study ran this over
-// Grid'5000; here the "clusters" are simulated executors on loopback
-// sockets, which preserves every protocol step and message shape.
+// one request frame and one response frame per exchange. Agents serve
+// exchanges on a connection until it closes or idles out, so a caller may
+// reuse one (see Link); RoundTripContext is the one-shot form. The
+// original study ran this over Grid'5000; here the "clusters" are
+// simulated executors on loopback sockets, which preserves every protocol
+// step and message shape.
 package diet
 
 import (
 	"context"
 	"fmt"
 	"net"
+	"sync"
 	"time"
 
 	"oagrid/internal/core"
@@ -693,7 +697,8 @@ func (e *RemoteError) Error() string {
 	return fmt.Sprintf("diet: %s: remote error: %s", e.Kind, e.Msg)
 }
 
-// dialTimeout bounds every protocol round trip.
+// dialTimeout bounds every protocol round trip, and is how long a served
+// connection may sit idle between frames.
 const dialTimeout = 5 * time.Second
 
 // roundTrip dials addr, sends req and decodes the response, announcing this
@@ -722,43 +727,54 @@ func RoundTripTimeout(addr string, req *Request, d time.Duration) (*Response, er
 }
 
 // RoundTripContext is RoundTripTimeout under a context: cancelling ctx
-// aborts the dial and unblocks an in-flight read or write immediately. The
-// exchange is one request frame out, one response frame back. Decoding
-// retains, because round-trip callers keep what they get (perf vectors,
-// chunk reports). Exchanges are not retried here because submit is not
-// idempotent.
+// aborts the dial and unblocks an in-flight read or write immediately. It
+// is one-shot: one dial, one request frame out, one response frame back,
+// and the connection closes. Heartbeats, the client's admission streams and
+// ring forwarding use it; repeated exchanges with one SeD go through a Link,
+// which shares the exchange but keeps the connection. Exchanges are not
+// retried here because submit is not idempotent.
 func RoundTripContext(ctx context.Context, addr string, req *Request, d time.Duration) (*Response, error) {
-	dialer := net.Dialer{Timeout: d}
-	conn, err := dialer.DialContext(ctx, "tcp", addr)
+	conn, err := Dial(ctx, addr, d)
 	if err != nil {
 		return nil, fmt.Errorf("diet: dialing %s: %w", addr, err)
 	}
 	defer conn.Close()
-	stop := AbortOnDone(ctx, conn)
-	defer stop()
+	resp, _, err := exchange(ctx, &countingConn{Conn: conn}, addr, req, d)
+	return resp, err
+}
+
+// exchange writes req on conn and reads back its one response frame, the
+// whole exchange bounded by d and aborted by ctx. Decoding retains, because
+// callers keep what they get (perf vectors, chunk reports). A response
+// carrying Err comes back as a *RemoteError. clean reports that conn may
+// carry another exchange: a whole response frame was read (a RemoteError
+// counts) and no ctx abort can still be forcing conn's deadline into the
+// past.
+func exchange(ctx context.Context, conn *countingConn, addr string, req *Request, d time.Duration) (resp *Response, clean bool, err error) {
 	if err := conn.SetDeadline(time.Now().Add(d)); err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	cc := CountConn(conn)
-	if err := WriteRequestFrame(cc, req); err != nil {
+	stop := context.AfterFunc(ctx, func() { _ = conn.SetDeadline(time.Unix(1, 0)) })
+	defer func() { clean = stop() && clean }()
+	if err := WriteRequestFrame(conn, req); err != nil {
 		if ctx.Err() != nil {
-			return nil, ctx.Err()
+			return nil, false, ctx.Err()
 		}
-		return nil, fmt.Errorf("diet: encoding %s request to %s: %w", req.Kind, addr, err)
+		return nil, false, fmt.Errorf("diet: encoding %s request to %s: %w", req.Kind, addr, err)
 	}
 	dec := GetFrameDecoder(true)
 	defer PutFrameDecoder(dec)
-	resp, err := dec.ReadResponse(cc)
+	resp, err = dec.ReadResponse(conn)
 	if err != nil {
 		if ctx.Err() != nil {
-			return nil, ctx.Err()
+			return nil, false, ctx.Err()
 		}
-		return nil, fmt.Errorf("diet: decoding %s response from %s: %w", req.Kind, addr, err)
+		return nil, false, fmt.Errorf("diet: decoding %s response from %s: %w", req.Kind, addr, err)
 	}
 	if resp.Err != "" {
-		return nil, &RemoteError{Kind: req.Kind, Msg: resp.Err}
+		return nil, true, &RemoteError{Kind: req.Kind, Msg: resp.Err}
 	}
-	return resp, nil
+	return resp, true, nil
 }
 
 // AbortOnDone ties a connection to a context: when ctx is cancelled the
@@ -792,46 +808,100 @@ func AbortOnDone(ctx context.Context, conn net.Conn) (stop func()) {
 	return func() { close(quit) }
 }
 
-// serveConn serves one connection for a plain request/response agent: one
-// request frame in, one response frame out. A connection that does not
-// open with a well-formed frame is dropped. Scratch-mode decoding is safe
-// here because the decoder goes back to the pool only after the response
-// is written.
-func serveConn(conn net.Conn, handle func(*Request) *Response) {
-	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(dialTimeout))
-	cc := CountConn(conn)
-	dec := GetFrameDecoder(false)
-	defer PutFrameDecoder(dec)
-	req, err := dec.ReadRequest(cc)
-	if err != nil {
-		return
-	}
-	resp := handle(req)
-	if resp.Version == 0 {
-		resp.Version = NegotiateVersion(req.Version)
-	}
-	// The handler may have burned wall clock on a loaded box (perf vectors,
-	// executor runs); give the write its own fresh deadline.
-	_ = conn.SetDeadline(time.Now().Add(dialTimeout))
-	_ = WriteResponseFrame(cc, resp)
+// server is a plain request/response agent's accept loop plus the set of
+// connections it is serving, so closing it silences every connection, not
+// only the listener: a closed SeD must not keep answering on a scheduler's
+// pooled links.
+type server struct {
+	ln     net.Listener
+	handle func(*Request) *Response
+
+	mu     sync.Mutex
+	conns  map[net.Conn]struct{}
+	closed bool
 }
 
-// acceptLoop serves until the listener closes.
-func acceptLoop(ln net.Listener, handle func(*Request) *Response) {
+func newServer(ln net.Listener, handle func(*Request) *Response) *server {
+	return &server{ln: ln, handle: handle, conns: make(map[net.Conn]struct{})}
+}
+
+// run serves until the listener closes, then closes every open connection.
+func (sv *server) run() {
+	defer sv.close()
 	for {
-		conn, err := ln.Accept()
+		conn, err := sv.ln.Accept()
 		if err != nil {
 			return
 		}
-		go serveConn(conn, handle)
+		sv.mu.Lock()
+		if sv.closed {
+			sv.mu.Unlock()
+			conn.Close()
+			return
+		}
+		sv.conns[conn] = struct{}{}
+		sv.mu.Unlock()
+		go sv.serveConn(conn)
+	}
+}
+
+// close shuts the listener and every connection being served. Idempotent.
+func (sv *server) close() error {
+	sv.mu.Lock()
+	if sv.closed {
+		sv.mu.Unlock()
+		return nil
+	}
+	sv.closed = true
+	conns := sv.conns
+	sv.conns = nil
+	sv.mu.Unlock()
+	err := sv.ln.Close()
+	for conn := range conns {
+		conn.Close()
+	}
+	return err
+}
+
+// serveConn serves one connection frame by frame: request in, response out,
+// each frame negotiated on its own. It stops at EOF, on any read or write
+// error — including a malformed frame — or once the connection has sat
+// idle for dialTimeout. Scratch-mode decoding is safe here because the
+// handler is done with a request before the next one is read.
+func (sv *server) serveConn(conn net.Conn) {
+	defer func() {
+		sv.mu.Lock()
+		delete(sv.conns, conn)
+		sv.mu.Unlock()
+		conn.Close()
+	}()
+	cc := CountConn(conn)
+	dec := GetFrameDecoder(false)
+	defer PutFrameDecoder(dec)
+	for {
+		_ = conn.SetDeadline(time.Now().Add(dialTimeout))
+		req, err := dec.ReadRequest(cc)
+		if err != nil {
+			return
+		}
+		resp := sv.handle(req)
+		if resp.Version == 0 {
+			resp.Version = NegotiateVersion(req.Version)
+		}
+		// The handler may have burned wall clock on a loaded box (perf
+		// vectors, executor runs); give the write its own fresh deadline.
+		_ = conn.SetDeadline(time.Now().Add(dialTimeout))
+		if err := WriteResponseFrame(cc, resp); err != nil {
+			return
+		}
 	}
 }
 
 // Serve exposes the accept loop to sibling packages that reuse the diet
 // transport for their own agents (the grid scheduler streams on some
 // connections and therefore brings its own connection handler; plain
-// request/response agents can use this).
+// request/response agents can use this). It serves until ln closes, then
+// closes every connection it was serving.
 func Serve(ln net.Listener, handle func(*Request) *Response) {
-	acceptLoop(ln, handle)
+	newServer(ln, handle).run()
 }

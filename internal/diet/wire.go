@@ -1,11 +1,13 @@
 package diet
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // ---- wire accounting ------------------------------------------------------
@@ -15,16 +17,19 @@ var (
 	wireRxBytes  atomic.Uint64
 	wireTxFrames atomic.Uint64
 	wireRxFrames atomic.Uint64
+	wireDials    atomic.Uint64
 )
 
 // WireCounters is a snapshot of the process-wide transport counters: bytes
-// on every counted connection, frames at every encode and decode site. The
-// load injector diffs two snapshots to report wire rates.
+// on every counted connection, frames at every encode and decode site,
+// outgoing TCP connects at every dial site. The load injector diffs two
+// snapshots to report wire rates.
 type WireCounters struct {
 	BytesTx  uint64
 	BytesRx  uint64
 	FramesTx uint64
 	FramesRx uint64
+	Dials    uint64
 }
 
 // WireStats snapshots the transport counters.
@@ -34,18 +39,36 @@ func WireStats() WireCounters {
 		BytesRx:  wireRxBytes.Load(),
 		FramesTx: wireTxFrames.Load(),
 		FramesRx: wireRxFrames.Load(),
+		Dials:    wireDials.Load(),
 	}
 }
 
-type countingConn struct{ net.Conn }
+// Dial opens a TCP connection to addr, bounded by timeout d and aborted by
+// ctx. Every outgoing protocol connection is opened here, so each attempt
+// lands in the Dials counter.
+func Dial(ctx context.Context, addr string, d time.Duration) (net.Conn, error) {
+	wireDials.Add(1)
+	dialer := net.Dialer{Timeout: d}
+	return dialer.DialContext(ctx, "tcp", addr)
+}
 
-func (c countingConn) Read(p []byte) (int, error) {
+// countingConn lands a connection's traffic in the wire counters. rx counts
+// the bytes read since it was last reset: a Link resets it per exchange to
+// tell a pooled connection that failed before any response byte (safe to
+// retry) from one that failed mid-response.
+type countingConn struct {
+	net.Conn
+	rx int
+}
+
+func (c *countingConn) Read(p []byte) (int, error) {
 	n, err := c.Conn.Read(p)
+	c.rx += n
 	wireRxBytes.Add(uint64(n))
 	return n, err
 }
 
-func (c countingConn) Write(p []byte) (int, error) {
+func (c *countingConn) Write(p []byte) (int, error) {
 	n, err := c.Conn.Write(p)
 	wireTxBytes.Add(uint64(n))
 	return n, err
@@ -53,7 +76,7 @@ func (c countingConn) Write(p []byte) (int, error) {
 
 // CountConn wraps a connection so its traffic lands in the wire counters.
 // Wrap once per connection, not per operation.
-func CountConn(conn net.Conn) net.Conn { return countingConn{conn} }
+func CountConn(conn net.Conn) net.Conn { return &countingConn{Conn: conn} }
 
 // ---- pooled buffers and decoders ------------------------------------------
 

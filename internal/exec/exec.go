@@ -435,7 +435,7 @@ func (e *engine) drainPosts(now float64) {
 		return
 	}
 	for e.queueHead < len(e.queue) {
-		res, procEnd := e.freePostSlot(now)
+		gid, slot, procEnd := e.freePostSlot(now)
 		if procEnd == nil {
 			return
 		}
@@ -450,6 +450,12 @@ func (e *engine) drainPosts(now float64) {
 		*procEnd = end
 		e.busyAccum += dur
 		if e.tr != nil {
+			var res string
+			if gid < 0 {
+				res = fmt.Sprintf("p%d", slot)
+			} else {
+				res = fmt.Sprintf("g%d.%d", gid, slot)
+			}
 			e.tr.Add(trace.Span{
 				Resource: res,
 				Kind:     trace.Post,
@@ -469,17 +475,19 @@ func (e *engine) drainPosts(now float64) {
 }
 
 // freePostSlot finds a processor free at time now for a post task. It
-// returns the resource name and a pointer to its busy-until slot, or nil.
-func (e *engine) freePostSlot(now float64) (string, *float64) {
+// returns the processor's group (-1 for a dedicated post processor), its
+// index there and a pointer to its busy-until slot; the slot is nil when no
+// processor is free. Only a traced run formats the processor's name.
+func (e *engine) freePostSlot(now float64) (gid, slot int, end *float64) {
 	for i := range e.postEnd {
 		if e.postEnd[i] <= now {
-			return fmt.Sprintf("p%d", i), &e.postEnd[i]
+			return -1, i, &e.postEnd[i]
 		}
 	}
 	if e.opt.NoIdleSteal && e.mainsLeft > 0 {
 		// Strict mode: groups keep their processors for main tasks until no
 		// main remains to dispatch; the end-of-run drain still uses them.
-		return "", nil
+		return 0, 0, nil
 	}
 	for _, g := range e.groups {
 		if g.busy {
@@ -490,11 +498,11 @@ func (e *engine) freePostSlot(now float64) (string, *float64) {
 		// is ready for it right now.
 		for i := range g.procEnd {
 			if g.procEnd[i] <= now && g.freeAt <= now {
-				return fmt.Sprintf("g%d.%d", g.id, i), &g.procEnd[i]
+				return g.id, i, &g.procEnd[i]
 			}
 		}
 	}
-	return "", nil
+	return 0, 0, nil
 }
 
 // scheduleWakeup arms an event at the earliest future scenario readiness so

@@ -385,3 +385,21 @@ func TestStickyDispatchPathology(t *testing.T) {
 		t.Fatalf("sticky dispatch only %.2f%% worse; the pathology should be visible", rel*100)
 	}
 }
+
+// BenchmarkRunUntraced times one untraced 4×1800 run, the executor call a
+// SeD makes for every chunk; run it with -benchmem to watch the per-task
+// allocations of the untraced path.
+func BenchmarkRunUntraced(b *testing.B) {
+	app := core.Application{Scenarios: 4, Months: 1800}
+	ref := platform.ReferenceTiming()
+	al, err := core.Knapsack{}.Plan(app, ref, 30)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := Run(app, ref, 30, al, Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -238,8 +238,7 @@ func (st *campaignStream) close() {
 
 // openStreamAt dials one member, ties the connection to ctx, and sends req.
 func (c *Client) openStreamAt(ctx context.Context, addr string, req *diet.Request) (*campaignStream, error) {
-	dialer := net.Dialer{Timeout: c.timeout()}
-	conn, err := dialer.DialContext(ctx, "tcp", addr)
+	conn, err := diet.Dial(ctx, addr, c.timeout())
 	if err != nil {
 		return nil, fmt.Errorf("grid: dialing %s: %w", addr, err)
 	}

@@ -24,7 +24,12 @@
 // The scheduler speaks the internal/diet binary-framed TCP protocol and is
 // a strict superset of the passive MasterAgent: register/list still work,
 // so the one-shot diet.Client can run its protocol against a live daemon
-// unchanged.
+// unchanged. Its own exchanges with a TCP SeD go over a diet.Link per SeD:
+// keep-alive connections, at most one idle per in-flight slot, reused chunk
+// after chunk, so a warm fleet costs no TCP connect per campaign. A link is
+// dropped when its SeD changes address, dies, is evicted or deregistered.
+// Every other exchange is one-shot: heartbeats, the client's submit
+// streams and ring forwarding dial once per request.
 //
 // The same scheduler also runs with no wire at all. SeDs handed to Start
 // are in-process: the scheduler calls their diet.Handler directly instead
@@ -229,6 +234,19 @@ type sedState struct {
 	// local is the handler of an in-process SeD, called directly instead of
 	// over the wire; nil for a TCP SeD. Immutable after Start.
 	local *diet.Handler
+	// link holds a live TCP SeD's keep-alive connections, at most one idle
+	// per in-flight slot. It is dropped (closed and cleared) when the
+	// daemon changes address, is marked dead or evicted, or is
+	// deregistered, and on Close; the next registration opens a new one.
+	link *diet.Link
+}
+
+// dropLink closes a SeD's link and forgets it. Callers hold s.mu.
+func (st *sedState) dropLink() {
+	if st.link != nil {
+		st.link.Close()
+		st.link = nil
+	}
 }
 
 // tenantState is one tenant's slice of the weighted-fair queue: its queued
@@ -589,6 +607,11 @@ func (s *Scheduler) Close() error {
 		sm.close()
 	}
 	s.wg.Wait()
+	s.mu.Lock()
+	for _, st := range s.seds {
+		st.dropLink()
+	}
+	s.mu.Unlock()
 	if s.metrics != nil {
 		s.metrics.close()
 	}
@@ -613,6 +636,7 @@ func (s *Scheduler) evictLoop() {
 		for _, st := range s.seds {
 			if st.alive && st.local == nil && now.Sub(st.lastBeat) > s.cfg.EvictAfter {
 				st.alive = false
+				st.dropLink()
 				s.evicted++
 			}
 		}
@@ -653,8 +677,13 @@ func (s *Scheduler) register(info diet.SeDInfo, inFlight int, speed float64, dra
 	}
 	if st.info.Addr != "" && st.info.Addr != info.Addr {
 		// A replacement daemon is a fresh process: an old drain flag (or a
-		// straggling beat from the drained predecessor) must not shadow it.
+		// straggling beat from the drained predecessor) must not shadow it,
+		// and the old connections lead to the old address.
 		st.draining = false
+		st.dropLink()
+	}
+	if st.link == nil {
+		st.link = diet.NewLink(info.Addr, cap(st.sem))
 	}
 	st.info = info
 	st.alive = true
@@ -681,15 +710,18 @@ func (s *Scheduler) DeregisterSeD(cluster, addr string) bool {
 		return false
 	}
 	delete(s.seds, cluster)
+	st.dropLink()
 	return true
 }
 
-// sedRef pairs a daemon's state with an info snapshot taken under the
-// mutex: register() overwrites st.info on every heartbeat, so code off the
-// lock must work from the snapshot, never from st.info directly.
+// sedRef pairs a daemon's state with an info and link snapshot taken under
+// the mutex: register() overwrites st.info on every heartbeat, so code off
+// the lock must work from the snapshot, never from st.info directly. A link
+// dropped after the snapshot still works, one dial per exchange.
 type sedRef struct {
 	st   *sedState
 	info diet.SeDInfo
+	link *diet.Link
 }
 
 // aliveSeDs snapshots the dispatchable daemons in deterministic (cluster
@@ -707,7 +739,7 @@ func (s *Scheduler) aliveSeDs() []sedRef {
 	for _, st := range s.seds {
 		if st.alive && !st.draining {
 			st.leases++
-			out = append(out, sedRef{st: st, info: st.info})
+			out = append(out, sedRef{st: st, info: st.info, link: st.link})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].info.Cluster < out[j].info.Cluster })
@@ -733,6 +765,7 @@ func (s *Scheduler) markDead(st *sedState, addr string) {
 	// replacement may have re-registered under the same cluster meanwhile.
 	if st.alive && st.info.Addr == addr {
 		st.alive = false
+		st.dropLink()
 		s.evicted++
 	}
 }
@@ -785,13 +818,13 @@ func (s *Scheduler) vector(ctx context.Context, ref sedRef, n, months int, heuri
 // goroutine well past the transport's 5s default.
 const sedCallTimeout = 30 * time.Second
 
-// call sends one request to a SeD: a direct call to an in-process SeD, a
-// wire round trip otherwise. ctx aborts either.
+// call sends one request to a SeD: a direct call to an in-process SeD, an
+// exchange over the SeD's link otherwise. ctx aborts either.
 func (s *Scheduler) call(ctx context.Context, ref sedRef, req *diet.Request) (*diet.Response, error) {
 	if ref.st.local != nil {
 		return ref.st.local.Call(ctx, req)
 	}
-	return diet.RoundTripContext(ctx, ref.info.Addr, req, sedCallTimeout)
+	return ref.link.RoundTrip(ctx, req, sedCallTimeout)
 }
 
 // Stats snapshots the scheduler's gauges and the SeD table.

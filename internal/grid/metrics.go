@@ -192,6 +192,8 @@ func (s *Scheduler) writeMetrics(w io.Writer) {
 	mw.sample("oagrid_wire_tx_frames_total", float64(wire.FramesTx))
 	mw.family("oagrid_wire_rx_frames_total", "counter", "Process-wide wire frames received.")
 	mw.sample("oagrid_wire_rx_frames_total", float64(wire.FramesRx))
+	mw.family("oagrid_wire_dials_total", "counter", "Process-wide outgoing TCP dials.")
+	mw.sample("oagrid_wire_dials_total", float64(wire.Dials))
 
 	if sm := s.shardManager(); sm != nil {
 		s.writeRingMetrics(mw, sm)
