@@ -201,6 +201,116 @@ func TestLinkOneShotPeer(t *testing.T) {
 	}
 }
 
+// startAbortingAgent serves handle on kept-alive connections and calls
+// after once each response frame is written, before reading the next
+// request.
+func startAbortingAgent(t *testing.T, handle func(*Request) *Response, after func()) *countedListener {
+	t.Helper()
+	ln := listen(t)
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				dec := GetFrameDecoder(false)
+				defer PutFrameDecoder(dec)
+				for {
+					req, err := dec.ReadRequest(conn)
+					if err != nil {
+						return
+					}
+					resp := handle(req)
+					resp.Version = NegotiateVersion(req.Version)
+					if WriteResponseFrame(conn, resp) != nil {
+						return
+					}
+					after()
+				}
+			}()
+		}
+	}()
+	return ln
+}
+
+// TestLinkAbortAfterResponse: a ctx that ends while or just after a
+// response arrives never yields (nil, nil). The agent cancels each
+// exchange's ctx right after writing its response, so the abort races the
+// client's read; the exchange either fails or returns the whole response,
+// bit for bit. An already-cancelled ctx on a warm link obeys the same rule.
+func TestLinkAbortAfterResponse(t *testing.T) {
+	h := testHandler(t)
+	var cancel atomic.Pointer[context.CancelFunc]
+	ln := startAbortingAgent(t, h.serve, func() {
+		if c := cancel.Load(); c != nil {
+			(*c)()
+		}
+	})
+	addr := ln.Addr().String()
+	l := NewLink(addr, 1)
+	defer l.Close()
+	want := linkMakespan(t, l, 2)
+
+	check := func(i int, resp *Response, err error) {
+		t.Helper()
+		switch {
+		case resp == nil && err == nil:
+			t.Fatalf("exchange %d returned neither a response nor an error", i)
+		case resp != nil && err != nil:
+			t.Fatalf("exchange %d returned a response and %v", i, err)
+		case resp != nil && math.Float64bits(resp.Exec.Makespan) != math.Float64bits(want):
+			t.Fatalf("exchange %d: makespan %g, want %g", i, resp.Exec.Makespan, want)
+		}
+	}
+	for i := 0; i < 1000; i++ {
+		ctx, c := context.WithCancel(context.Background())
+		cancel.Store(&c)
+		resp, err := l.RoundTrip(ctx, execRequest(2), dialTimeout)
+		cancel.Store(nil)
+		c()
+		check(i, resp, err)
+	}
+	done, c := context.WithCancel(context.Background())
+	c()
+	for i := 0; i < 200; i++ {
+		linkMakespan(t, l, 2) // keep a connection pooled
+		resp, err := l.RoundTrip(done, execRequest(2), dialTimeout)
+		check(i, resp, err)
+	}
+}
+
+// TestLinkExpiresIdle: a pooled connection idle for maxIdleAge is closed
+// and replaced by a fresh dial instead of being tried, since its agent is
+// about to drop it.
+func TestLinkExpiresIdle(t *testing.T) {
+	ln := startCountedAgent(t, testHandler(t).serve)
+	l := NewLink(ln.Addr().String(), 2)
+	defer l.Close()
+	want := linkMakespan(t, l, 2)
+
+	l.mu.Lock()
+	stale := l.idle[0].c
+	l.idle[0].since = time.Now().Add(-maxIdleAge)
+	l.mu.Unlock()
+	dials := WireStats().Dials
+	if got := linkMakespan(t, l, 2); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("makespan %g, want %g", got, want)
+	}
+	if n := WireStats().Dials - dials; n != 1 {
+		t.Fatalf("exchange after the idle age dialed %d times, want 1", n)
+	}
+	if n := ln.accepted.Load(); n != 2 {
+		t.Fatalf("agent accepted %d connections, want 2", n)
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.idle) != 1 || l.idle[0].c == stale {
+		t.Fatalf("link keeps %d idle connections, want the fresh one only", len(l.idle))
+	}
+}
+
 // TestLinkConcurrentUse: many goroutines share one link; each exchange gets
 // a connection of its own, every answer is bit-identical, and the pool
 // keeps no more than its cap once they are done.

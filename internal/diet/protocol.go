@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"oagrid/internal/core"
@@ -749,12 +750,13 @@ func RoundTripContext(ctx context.Context, addr string, req *Request, d time.Dur
 // carrying Err comes back as a *RemoteError. clean reports that conn may
 // carry another exchange: a whole response frame was read (a RemoteError
 // counts) and no ctx abort can still be forcing conn's deadline into the
-// past.
+// past. An abort that lands after the whole response was read leaves it
+// valid: resp comes back with a nil err and clean false.
 func exchange(ctx context.Context, conn *countingConn, addr string, req *Request, d time.Duration) (resp *Response, clean bool, err error) {
 	if err := conn.SetDeadline(time.Now().Add(d)); err != nil {
 		return nil, false, err
 	}
-	stop := context.AfterFunc(ctx, func() { _ = conn.SetDeadline(time.Unix(1, 0)) })
+	stop := AbortOnDone(ctx, conn)
 	defer func() { clean = stop() && clean }()
 	if err := WriteRequestFrame(conn, req); err != nil {
 		if ctx.Err() != nil {
@@ -777,36 +779,36 @@ func exchange(ctx context.Context, conn *countingConn, addr string, req *Request
 	return resp, true, nil
 }
 
-// AbortOnDone ties a connection to a context: when ctx is cancelled the
+// AbortOnDone ties a connection to a context: when ctx ends the
 // connection's deadline is forced into the past, which unblocks any reader
 // or writer parked on it with a timeout error. The past deadline is
 // re-asserted until stop is called, so a caller that refreshes the deadline
-// concurrently with the cancellation (a per-frame refresh racing the abort)
-// still aborts within milliseconds instead of re-arming the connection. The
-// returned stop function releases the watcher; callers must invoke it
-// before closing the connection.
-func AbortOnDone(ctx context.Context, conn net.Conn) (stop func()) {
+// concurrently with the cancellation (a stream's per-frame refresh racing
+// the abort) still aborts within milliseconds instead of re-arming the
+// connection. stop releases the watch and reports whether it did so before
+// the abort fired: only then may the connection carry another exchange.
+// Callers must call stop before closing or reusing the connection.
+func AbortOnDone(ctx context.Context, conn net.Conn) (stop func() bool) {
 	if ctx.Done() == nil {
-		return func() {}
+		return neverAborted
 	}
-	quit := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-		case <-quit:
-			return
-		}
-		for {
+	var quit atomic.Bool
+	unwatch := context.AfterFunc(ctx, func() {
+		for !quit.Load() {
 			_ = conn.SetDeadline(time.Unix(1, 0))
-			select {
-			case <-quit:
-				return
-			case <-time.After(5 * time.Millisecond):
-			}
+			time.Sleep(5 * time.Millisecond)
 		}
-	}()
-	return func() { close(quit) }
+	})
+	return func() bool {
+		if unwatch() {
+			return true
+		}
+		quit.Store(true)
+		return false
+	}
 }
+
+func neverAborted() bool { return true }
 
 // server is a plain request/response agent's accept loop plus the set of
 // connections it is serving, so closing it silences every connection, not

@@ -224,7 +224,7 @@ type campaignStream struct {
 	conn net.Conn
 	cc   net.Conn // counted wrapper around conn
 	fdec *diet.FrameDecoder
-	stop func()
+	stop func() bool
 }
 
 func (st *campaignStream) close() {

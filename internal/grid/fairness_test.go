@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -454,6 +455,20 @@ func TestMetricsLabelEscaping(t *testing.T) {
 	if want := `oagrid_tenant_admitted_total{tenant="a\"b\\c"} 1`; !strings.Contains(string(body), want) {
 		t.Fatalf("/metrics output missing %s:\n%s", want, body)
 	}
+	// The submit dialed, so the dial counter is live next to the other
+	// wire families.
+	if !strings.Contains(string(body), "# TYPE oagrid_wire_dials_total counter\n") {
+		t.Fatalf("/metrics output has no oagrid_wire_dials_total counter:\n%s", body)
+	}
+	for _, line := range strings.Split(string(body), "\n") {
+		if value, ok := strings.CutPrefix(line, "oagrid_wire_dials_total "); ok {
+			if n, err := strconv.ParseFloat(value, 64); err != nil || n < 1 {
+				t.Fatalf("oagrid_wire_dials_total %q, want at least the submit's dial", value)
+			}
+			return
+		}
+	}
+	t.Fatalf("/metrics output has no oagrid_wire_dials_total sample:\n%s", body)
 }
 
 // TestQueuePositionAndWait: Info on a queued campaign reports its 1-based

@@ -26,7 +26,8 @@
 // so the one-shot diet.Client can run its protocol against a live daemon
 // unchanged. Its own exchanges with a TCP SeD go over a diet.Link per SeD:
 // keep-alive connections, at most one idle per in-flight slot, reused chunk
-// after chunk, so a warm fleet costs no TCP connect per campaign. A link is
+// after chunk, so a warm fleet costs no TCP connect per campaign (a
+// connection idle for 4 s closes before the SeD would drop it). A link is
 // dropped when its SeD changes address, dies, is evicted or deregistered.
 // Every other exchange is one-shot: heartbeats, the client's submit
 // streams and ring forwarding dial once per request.

@@ -2,11 +2,7 @@ package grid
 
 import (
 	"context"
-	"io"
 	"net"
-	"net/http"
-	"strconv"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -247,46 +243,4 @@ func TestOneShotSeDInteroperates(t *testing.T) {
 			t.Fatalf("campaign %d requeued %d times against one-shot SeDs", res.ID, res.Requeues)
 		}
 	}
-}
-
-// TestMetricsWireDials scrapes the dial counter from a live /metrics
-// endpoint next to the other wire families.
-func TestMetricsWireDials(t *testing.T) {
-	s, err := Start(Config{Addr: "127.0.0.1:0", MetricsAddr: "127.0.0.1:0"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
-	if v := submitTenant(t, s.Addr(), 2, 6, 0, DefaultTenant); !v.Accepted {
-		t.Fatalf("submit rejected: %+v", v)
-	}
-	before := diet.WireStats().Dials
-	resp, err := http.Get("http://" + s.MetricsAddr() + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	after := diet.WireStats().Dials
-	if !strings.Contains(string(body), "# TYPE oagrid_wire_dials_total counter\n") {
-		t.Fatalf("/metrics output has no oagrid_wire_dials_total counter:\n%s", body)
-	}
-	for _, line := range strings.Split(string(body), "\n") {
-		value, ok := strings.CutPrefix(line, "oagrid_wire_dials_total ")
-		if !ok {
-			continue
-		}
-		n, err := strconv.ParseFloat(value, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n < float64(before) || n > float64(after) || n < 1 {
-			t.Fatalf("oagrid_wire_dials_total %g, want within [%d, %d] and at least the submit's dial", n, before, after)
-		}
-		return
-	}
-	t.Fatalf("/metrics output has no oagrid_wire_dials_total sample:\n%s", body)
 }
